@@ -83,10 +83,12 @@ fn with_observability(
     if active {
         smm_obs::reset();
         smm_obs::set_enabled(true);
+        smm_obs::set_trace_events(opts.trace_out.is_some());
     }
     let result = body();
     if active {
         smm_obs::set_enabled(false);
+        smm_obs::set_trace_events(false);
         if opts.profile {
             println!();
             print!("{}", smm_obs::report());

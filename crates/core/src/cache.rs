@@ -20,8 +20,12 @@
 //! share across worker threads. Hits, misses, and evictions are counted
 //! locally (always) and in the `smm-obs` registry (when collection is
 //! enabled).
+//!
+//! [`KeyMemo`] sits in front of the cache: a bounded map from a
+//! [`PlanSpec`] to its key, so a repeat request finds its cache entry
+//! without resolving the network or encoding the key again.
 
-use crate::{ExecutionPlan, ManagerConfig, Objective, PlanSpec};
+use crate::{ExecutionPlan, ManagerConfig, NetworkRef, Objective, PlanError, PlanSpec};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use smm_arch::AcceleratorConfig;
@@ -53,10 +57,12 @@ pub enum PlanScheme {
 /// about shard ownership.
 pub const KEY_HASH_VERSION: u32 = 1;
 
-/// Canonical cache key for one planning input.
+/// Canonical cache key for one planning input. The encoding is shared,
+/// so cloning a key (into the cache, out of the [`KeyMemo`]) copies no
+/// bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanKey {
-    encoding: Vec<u8>,
+    encoding: Arc<[u8]>,
     hash: u64,
 }
 
@@ -68,11 +74,7 @@ impl PlanKey {
         cfg: &ManagerConfig,
         scheme: PlanScheme,
     ) -> Self {
-        let enc = Self::encode(net, acc, *cfg, scheme);
-        PlanKey {
-            hash: enc.hash,
-            encoding: enc.bytes,
-        }
+        Self::encode(net, acc, *cfg, scheme).finish()
     }
 
     /// Canonicalize a [`PlanSpec`] against its resolved network: the
@@ -83,10 +85,7 @@ impl PlanKey {
     pub fn from_spec(spec: &PlanSpec, net: &Network) -> Self {
         let mut enc = Self::encode(net, &spec.accelerator, spec.config, spec.scheme);
         enc.u64(spec.batch);
-        PlanKey {
-            hash: enc.hash,
-            encoding: enc.bytes,
-        }
+        enc.finish()
     }
 
     fn encode(
@@ -167,8 +166,13 @@ impl PlanKey {
     /// [`stable_bytes`](Self::stable_bytes). Every node and router in a
     /// fleet computes ring placement from this value, so it is pinned
     /// by golden-vector tests and versioned via [`KEY_HASH_VERSION`].
+    /// Hashes the version prefix and the encoding in place, without
+    /// building the byte string.
     pub fn stable_hash64(&self) -> u64 {
-        fnv1a(&self.stable_bytes())
+        fnv1a(
+            fnv1a(FNV_OFFSET, &KEY_HASH_VERSION.to_le_bytes()),
+            &self.encoding,
+        )
     }
 
     /// [`stable_bytes`](Self::stable_bytes) as lowercase hex, the form
@@ -194,8 +198,8 @@ impl PlanKey {
                 "unsupported key encoding version {version} (this build speaks {KEY_HASH_VERSION})"
             ));
         }
-        let encoding = bytes[4..].to_vec();
-        let hash = fnv1a(&encoding);
+        let encoding: Arc<[u8]> = bytes[4..].into();
+        let hash = fnv1a(FNV_OFFSET, &encoding);
         Ok(PlanKey { encoding, hash })
     }
 
@@ -218,12 +222,17 @@ impl PlanKey {
     }
 }
 
-/// FNV-1a 64-bit over a byte slice — the same constants the
-/// [`Encoder`] uses incrementally.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit over a byte slice, continuing from `hash` (start from
+/// [`FNV_OFFSET`]) — the same step the [`Encoder`] applies
+/// incrementally.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        hash = (hash ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -246,14 +255,21 @@ impl Default for Encoder {
     fn default() -> Self {
         Encoder {
             bytes: Vec::with_capacity(256),
-            hash: 0xcbf2_9ce4_8422_2325, // FNV-1a 64-bit offset basis
+            hash: FNV_OFFSET,
         }
     }
 }
 
 impl Encoder {
+    fn finish(self) -> PlanKey {
+        PlanKey {
+            encoding: self.bytes.into(),
+            hash: self.hash,
+        }
+    }
+
     fn push(&mut self, b: u8) {
-        self.hash = (self.hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        self.hash = (self.hash ^ b as u64).wrapping_mul(FNV_PRIME);
         self.bytes.push(b);
     }
 
@@ -378,19 +394,27 @@ impl<V: Clone> PlanCache<V> {
 
     /// Look a plan up, refreshing its LRU position on a hit.
     pub fn get(&self, key: &PlanKey) -> Option<V> {
+        let hit = self.probe(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            smm_obs::add(smm_obs::Counter::PlanCacheMisses, 1);
+        }
+        hit
+    }
+
+    /// [`get`](Self::get) that counts a hit but leaves a miss uncounted:
+    /// the first look of a request whose miss is counted later, by the
+    /// [`get`](Self::get) of the path that goes on to plan. A request
+    /// then counts at most one miss however many times it looks.
+    pub fn probe(&self, key: &PlanKey) -> Option<V> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(e) = inner.map.get_mut(key) {
-            e.last_used = tick;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            smm_obs::add(smm_obs::Counter::PlanCacheHits, 1);
-            Some(e.value.clone())
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            smm_obs::add(smm_obs::Counter::PlanCacheMisses, 1);
-            None
-        }
+        let e = inner.map.get_mut(key)?;
+        e.last_used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        smm_obs::add(smm_obs::Counter::PlanCacheHits, 1);
+        Some(e.value.clone())
     }
 
     /// Whether `key` is cached, without promoting it or touching the
@@ -457,6 +481,108 @@ impl<V: Clone> PlanCache<V> {
             len: inner.map.len(),
             capacity: self.capacity,
         }
+    }
+}
+
+/// A bounded memo from a [`PlanSpec`] to its [`PlanKey`] and the key's
+/// [`stable_hash64`](PlanKey::stable_hash64).
+///
+/// A plan key is a pure function of its spec, so a repeat request only
+/// needs a lookup: [`key`](Self::key) resolves the network and encodes
+/// the key the first time it sees a spec and answers every repeat from
+/// memory. Equality is exact (inline topologies compare by their full
+/// text), so the memo can never hand out a wrong key, and a spec that
+/// fails to resolve is never memoized.
+///
+/// The memo is bounded by entry count and by bytes: each entry costs
+/// its network name, its inline topology text and its key encoding.
+/// When an insert would cross either bound the memo is cleared
+/// wholesale; an entry larger than the whole byte budget is never
+/// stored. Hostile inline topologies can therefore churn the memo but
+/// never grow it.
+pub struct KeyMemo {
+    inner: Mutex<MemoInner>,
+    max_entries: usize,
+    max_bytes: usize,
+}
+
+#[derive(Default)]
+struct MemoInner {
+    map: HashMap<PlanSpec, (PlanKey, u64)>,
+    bytes: usize,
+}
+
+impl std::fmt::Debug for KeyMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyMemo")
+            .field("len", &self.len())
+            .field("bytes", &self.bytes())
+            .field("max_entries", &self.max_entries)
+            .field("max_bytes", &self.max_bytes)
+            .finish_non_exhaustive()
+    }
+}
+
+impl KeyMemo {
+    /// A memo holding at most `max_entries` specs and `max_bytes` bytes
+    /// of names, inline topology text and key encodings.
+    pub fn new(max_entries: usize, max_bytes: usize) -> Self {
+        KeyMemo {
+            inner: Mutex::new(MemoInner::default()),
+            max_entries,
+            max_bytes,
+        }
+    }
+
+    /// The plan key of `spec` and its stable hash: from the memo, or by
+    /// resolving the network and encoding the key (then memoized).
+    ///
+    /// # Errors
+    ///
+    /// The spec's resolution error (unknown model, bad topology),
+    /// exactly as [`PlanSpec::resolve`] reports it.
+    pub fn key(&self, spec: &PlanSpec) -> Result<(PlanKey, u64), PlanError> {
+        if let Some((key, hash)) = self.inner.lock().map.get(spec) {
+            return Ok((key.clone(), *hash));
+        }
+        let key = spec.cache_key(&spec.resolve()?);
+        let hash = key.stable_hash64();
+        let cost = match &spec.network {
+            NetworkRef::Zoo(name) => name.len(),
+            NetworkRef::Inline { name, topology } => name.len() + topology.len(),
+        } + key.encoding.len();
+        if cost <= self.max_bytes && self.max_entries > 0 {
+            let mut inner = self.inner.lock();
+            if inner.map.len() >= self.max_entries || inner.bytes + cost > self.max_bytes {
+                inner.map.clear();
+                inner.bytes = 0;
+            }
+            // Another thread may have memoized the spec meanwhile; its
+            // cost is already counted then.
+            if inner
+                .map
+                .insert(spec.clone(), (key.clone(), hash))
+                .is_none()
+            {
+                inner.bytes += cost;
+            }
+        }
+        Ok((key, hash))
+    }
+
+    /// Specs currently memoized.
+    pub fn len(&self) -> usize {
+        self.inner.lock().map.len()
+    }
+
+    /// Whether the memo holds no spec.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes currently charged against the byte bound.
+    pub fn bytes(&self) -> usize {
+        self.inner.lock().bytes
     }
 }
 
@@ -690,6 +816,168 @@ mod tests {
         cache.insert(key(&net, 256), Arc::new(m.heterogeneous(&net).unwrap()));
         assert!(cache.get(&key(&net, 256)).is_none());
         assert_eq!(cache.stats().len, 0);
+    }
+
+    fn spec(network: NetworkRef, kb: u64) -> PlanSpec {
+        PlanSpec::new(
+            network,
+            acc(kb),
+            ManagerConfig::new(Objective::Accesses),
+            PlanScheme::Heterogeneous,
+        )
+    }
+
+    /// What the memo must reproduce: the key of the resolved spec.
+    fn direct(spec: &PlanSpec) -> (PlanKey, u64) {
+        let key = spec.cache_key(&spec.resolve().unwrap());
+        let hash = key.stable_hash64();
+        (key, hash)
+    }
+
+    #[test]
+    fn stable_hash_is_fnv_over_the_stable_bytes() {
+        let k = key(&zoo::googlenet(), 128);
+        assert_eq!(
+            k.stable_hash64(),
+            fnv1a(FNV_OFFSET, &k.stable_bytes()),
+            "in-place hashing must match the wire bytes"
+        );
+    }
+
+    #[test]
+    fn probe_counts_hits_but_not_misses() {
+        let cache: PlanCache<Arc<String>> = PlanCache::new(4);
+        let k = key(&zoo::resnet18(), 64);
+        assert!(cache.probe(&k).is_none());
+        assert_eq!(cache.stats().misses, 0, "a probe miss is not counted");
+        assert!(cache.get(&k).is_none());
+        cache.insert(k.clone(), Arc::new("plan".into()));
+        assert!(cache.probe(&k).is_some());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn memo_serves_repeats_and_inline_zoo_csv_shares_the_zoo_key() {
+        let memo = KeyMemo::new(16, 1 << 20);
+        let zoo_spec = spec(NetworkRef::Zoo("resnet18".into()), 64);
+        let first = memo.key(&zoo_spec).unwrap();
+        assert_eq!(first, direct(&zoo_spec));
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.key(&zoo_spec).unwrap(), first, "repeat is a lookup");
+        assert_eq!(memo.len(), 1);
+
+        // The zoo model's CSV under its own name: another spec, the
+        // same key (so the same cache entry and the same ring owner).
+        let inline = spec(NetworkRef::from_network(&zoo::resnet18()), 64);
+        assert_eq!(memo.key(&inline).unwrap(), first);
+        assert_eq!(memo.len(), 2);
+    }
+
+    #[test]
+    fn memo_case_variants_share_a_key() {
+        let memo = KeyMemo::new(16, 1 << 20);
+        let keys: Vec<(PlanKey, u64)> = ["mobilenet", "MobileNet", "MOBILENET", "mobilenetv1"]
+            .into_iter()
+            .map(|name| memo.key(&spec(NetworkRef::Zoo(name.into()), 128)).unwrap())
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] == w[1]), "{keys:?}");
+        assert_eq!(memo.len(), 4, "each spelling is its own exact spec");
+    }
+
+    #[test]
+    fn memo_never_stores_unknown_models_or_bad_topologies() {
+        let memo = KeyMemo::new(16, 1 << 20);
+        for network in [
+            NetworkRef::Zoo("no-such-model".into()),
+            NetworkRef::Inline {
+                name: "bad".into(),
+                topology: "x, 1, 2,".into(),
+            },
+        ] {
+            let s = spec(network, 64);
+            let expected = s.resolve().unwrap_err();
+            for _ in 0..2 {
+                assert_eq!(memo.key(&s).unwrap_err(), expected);
+            }
+        }
+        assert!(memo.is_empty());
+        assert_eq!(memo.bytes(), 0);
+    }
+
+    #[test]
+    fn memo_stays_within_its_budgets_under_distinct_inline_topologies() {
+        // One memo bound by entries, one by bytes: each bound must hold
+        // on its own.
+        for (max_entries, max_bytes) in [(64, 1 << 30), (1 << 20, 8 * 1024)] {
+            let memo = KeyMemo::new(max_entries, max_bytes);
+            let mut peak = 0;
+            for i in 0..10_000u32 {
+                let topology = format!("l, {}, 8, 3, 3, {}, 8, 1,", 8 + i % 97, 1 + i / 97);
+                let s = spec(
+                    NetworkRef::Inline {
+                        name: format!("t{i}"),
+                        topology,
+                    },
+                    64,
+                );
+                assert_eq!(memo.key(&s).unwrap(), direct(&s));
+                assert!(memo.len() <= max_entries, "{memo:?}");
+                assert!(memo.bytes() <= max_bytes, "{memo:?}");
+                peak = peak.max(memo.len());
+            }
+            assert!(peak > 1, "the memo must hold entries between clears");
+        }
+
+        // An entry larger than the whole byte budget is answered but
+        // never stored.
+        let tiny = KeyMemo::new(64, 16);
+        let s = spec(NetworkRef::Zoo("resnet18".into()), 64);
+        assert_eq!(tiny.key(&s).unwrap(), direct(&s));
+        assert!(tiny.is_empty());
+    }
+
+    proptest! {
+        /// The memoized key and stable hash equal the directly derived
+        /// ones for random zoo and inline-CSV requests, on the first
+        /// look and on the repeat.
+        #[test]
+        fn memoized_key_equals_the_resolved_key(
+            model in 0usize..12,
+            glb_kb in 1u64..2048,
+            knobs in 0u8..32,
+            inline in any::<bool>(),
+        ) {
+            const MODELS: [&str; 12] = [
+                "efficientnetb0", "googlenet", "mnasnet", "mobilenet", "mobilenetv2",
+                "resnet18", "resnet34", "vgg16", "alexnet", "squeezenet", "bert-tiny",
+                "gemm-bench",
+            ];
+            let objective = if knobs & 1 == 0 { Objective::Accesses } else { Objective::Latency };
+            let scheduler = if knobs & 16 == 0 {
+                crate::SchedulerKind::Greedy
+            } else {
+                crate::SchedulerKind::Global
+            };
+            let network = if inline {
+                NetworkRef::from_network(&zoo::by_name(MODELS[model]).unwrap())
+            } else {
+                NetworkRef::Zoo(MODELS[model].into())
+            };
+            let s = PlanSpec::new(
+                network,
+                acc(glb_kb),
+                ManagerConfig::new(objective)
+                    .with_prefetch(knobs & 2 == 0)
+                    .with_inter_layer_reuse(knobs & 4 != 0)
+                    .with_scheduler(scheduler),
+                if knobs & 8 == 0 { PlanScheme::Heterogeneous } else { PlanScheme::BestHomogeneous },
+            );
+            let memo = KeyMemo::new(4, 1 << 20);
+            let expected = direct(&s);
+            prop_assert_eq!(memo.key(&s).unwrap(), expected.clone());
+            prop_assert_eq!(memo.key(&s).unwrap(), expected);
+        }
     }
 
     proptest! {

@@ -61,7 +61,7 @@ mod spec;
 pub mod sweep;
 pub mod tenancy;
 
-pub use cache::{CacheStats, PlanCache, PlanKey, PlanScheme, KEY_HASH_VERSION};
+pub use cache::{CacheStats, KeyMemo, PlanCache, PlanKey, PlanScheme, KEY_HASH_VERSION};
 pub use cancel::CancelToken;
 pub use manager::{CandidateReport, Manager, ManagerConfig, Objective, PlanError, SchedulerKind};
 pub use plan::{ExecutionPlan, LayerDecision, PlanTotals, Scheme};

@@ -33,7 +33,7 @@
 use crate::backend::Backend;
 use crate::ring::HashRing;
 use smm_core::report::json_escape;
-use smm_core::PlanKey;
+use smm_core::{KeyMemo, PlanKey};
 use smm_obs::Counter;
 use smm_serve::protocol::{self, Op};
 use smm_serve::{
@@ -45,9 +45,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-/// Bound on the request→key-hash memo before it is cleared wholesale.
-const KEY_MEMO_CAP: usize = 4096;
 
 /// Forwarder pool size: how many backend forwards can block
 /// concurrently. Forwards are I/O-bound (the pool threads spend their
@@ -152,9 +149,9 @@ struct RouterShared {
     /// Serializes membership changes so two concurrent joins cannot
     /// interleave their handoffs and ring flips.
     membership: parking_lot::Mutex<()>,
-    /// Request-fields → key-hash memo, so repeat zoo-model requests skip
-    /// network resolution on the routing hot path.
-    key_memo: parking_lot::Mutex<HashMap<String, u64>>,
+    /// Spec → plan-key memo, so repeat requests (zoo and inline CSV)
+    /// skip network resolution and key encoding on the routing path.
+    keys: KeyMemo,
     /// Hand-off from the reactor to the forwarder pool.
     queue: BoundedQueue<ForwardJob>,
     counters: FleetCounters,
@@ -194,7 +191,7 @@ impl Router {
             ring: parking_lot::RwLock::new(ring),
             backends: parking_lot::RwLock::new(backends),
             membership: parking_lot::Mutex::new(()),
-            key_memo: parking_lot::Mutex::new(HashMap::new()),
+            keys: smm_serve::key_memo(0),
             queue: BoundedQueue::new(FORWARD_QUEUE_CAP),
             counters: FleetCounters::default(),
             shutdown: Arc::clone(&shutdown),
@@ -547,31 +544,13 @@ fn tag_node(resp: &str, addr: &str) -> String {
 }
 
 /// The versioned wire hash of the request's plan key, memoized on the
-/// request's identifying fields so repeat requests skip network
-/// resolution.
+/// request's spec so repeat requests skip network resolution.
 fn key_hash_for(req: &protocol::Request, shared: &Arc<RouterShared>) -> Result<u64, String> {
-    let memo_key = req.model.as_ref().map(|model| {
-        format!(
-            "{model}|{}|{:?}|{:?}|{}|{}|{:?}",
-            req.glb_kb, req.objective, req.scheme, req.prefetch, req.reuse, req.scheduler
-        )
-    });
-    if let Some(k) = &memo_key {
-        if let Some(h) = shared.key_memo.lock().get(k) {
-            return Ok(*h);
-        }
-    }
-    let spec = req.to_spec();
-    let net = spec.resolve().map_err(|e| e.to_string())?;
-    let hash = spec.cache_key(&net).stable_hash64();
-    if let Some(k) = memo_key {
-        let mut memo = shared.key_memo.lock();
-        if memo.len() >= KEY_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(k, hash);
-    }
-    Ok(hash)
+    shared
+        .keys
+        .key(&req.to_spec())
+        .map(|(_, hash)| hash)
+        .map_err(|e| e.to_string())
 }
 
 /// Answer `stats` with the fleet aggregate in the node shape, plus

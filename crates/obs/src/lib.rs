@@ -19,8 +19,11 @@
 //! - **Counters** — fixed registry ([`Counter`]), lock-free atomic adds.
 //! - **Histograms** — power-of-two buckets ([`Histogram`]), atomic adds.
 //! - **Spans** — scoped guards created by [`span!`]; on drop they fold
-//!   the duration into per-name aggregates and append one complete
-//!   (`ph: "X"`) trace event.
+//!   the duration into per-name aggregates and, when trace events are
+//!   on ([`set_trace_events`]), append one complete (`ph: "X"`) trace
+//!   event. Trace events are off by default: only a run that exports a
+//!   Chrome trace needs them, and a long-lived process (a planning
+//!   server) would otherwise grow the event buffer without bound.
 //! - **Export** — [`report`] renders the aggregate table,
 //!   [`chrome_trace_json`] / [`write_chrome_trace`] emit Trace Event
 //!   Format JSON that `chrome://tracing` and Perfetto open directly.
@@ -30,11 +33,13 @@
 //! ```
 //! smm_obs::reset();
 //! smm_obs::set_enabled(true);
+//! smm_obs::set_trace_events(true);
 //! {
 //!     let _g = smm_obs::span!("plan.layer", "conv{}", 1);
 //!     smm_obs::add(smm_obs::Counter::PlannerCandidates, 12);
 //! }
 //! smm_obs::set_enabled(false);
+//! smm_obs::set_trace_events(false);
 //! let report = smm_obs::report();
 //! assert_eq!(report.counter(smm_obs::Counter::PlannerCandidates), 12);
 //! assert!(smm_obs::chrome_trace_json().contains("\"ph\":\"X\""));
@@ -370,6 +375,7 @@ pub struct Collector {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+static TRACE_EVENTS: AtomicBool = AtomicBool::new(false);
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -410,6 +416,22 @@ pub fn set_enabled(on: bool) {
     // the Relaxed fast-path load in `enabled` costs nothing and at
     // worst misses a few events around the toggle instant.
     ENABLED.store(on, Ordering::Release);
+}
+
+/// Are finished spans recorded as trace events? Checked only when
+/// collection is [`enabled`].
+#[inline]
+pub fn trace_events() -> bool {
+    TRACE_EVENTS.load(Ordering::Relaxed)
+}
+
+/// Turn trace-event recording on or off (off by default). With it on,
+/// every span finished while collection is [`enabled`] also keeps one
+/// event, with its detail string, for [`chrome_trace_json`] /
+/// [`write_chrome_trace`]; with it off spans still feed the aggregates
+/// of [`report`], and detail strings are never built.
+pub fn set_trace_events(on: bool) {
+    TRACE_EVENTS.store(on, Ordering::Relaxed);
 }
 
 /// Clear all counters, histograms, span aggregates and trace events,
@@ -544,6 +566,9 @@ impl Drop for SpanGuard {
             };
             s.max_ns = s.max_ns.max(dur_ns);
         }
+        if !trace_events() {
+            return;
+        }
         let ts_us = {
             let epoch = *c.epoch.lock();
             start
@@ -580,7 +605,8 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// Open a span whose detail string is built lazily — `detail` runs only
-/// when collection is enabled. Prefer the [`span!`] macro.
+/// when collection and trace events are both on, since only a trace
+/// event carries it. Prefer the [`span!`] macro.
 #[inline]
 pub fn span_detailed(name: &'static str, detail: impl FnOnce() -> String) -> SpanGuard {
     if !enabled() {
@@ -588,7 +614,7 @@ pub fn span_detailed(name: &'static str, detail: impl FnOnce() -> String) -> Spa
     }
     SpanGuard {
         name,
-        detail: Some(detail()),
+        detail: trace_events().then(detail),
         start: Some(Instant::now()),
     }
 }
@@ -601,7 +627,8 @@ pub fn span_detailed(name: &'static str, detail: impl FnOnce() -> String) -> Spa
 /// let _h = smm_obs::span!("plan.layer", "{}@{}kB", "conv1", 64);
 /// ```
 ///
-/// The format arguments are evaluated only when collection is enabled.
+/// The format arguments are evaluated only when collection and trace
+/// events are both on.
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {
@@ -713,6 +740,37 @@ mod tests {
         let _l = test_lock();
         set_enabled(false);
         let _g = span_detailed("test.lazy", || panic!("must not run"));
+    }
+
+    /// Without trace events, spans still aggregate but keep no event
+    /// and never build their detail string.
+    #[test]
+    fn spans_keep_no_events_unless_trace_events_are_on() {
+        let _l = test_lock();
+        reset();
+        set_enabled(true);
+        for _ in 0..3 {
+            let _g = span_detailed("test.untraced", || panic!("detail must not be built"));
+        }
+        set_trace_events(true);
+        {
+            let _g = span!("test.traced", "detail {}", 1);
+        }
+        set_trace_events(false);
+        set_enabled(false);
+        let rep = report();
+        let row = rep
+            .spans
+            .iter()
+            .find(|s| s.name == "test.untraced")
+            .unwrap();
+        assert_eq!(row.stats.count, 3);
+        let (events, dropped) = snapshot_events();
+        assert_eq!(dropped, 0);
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].name, "test.traced");
+        assert_eq!(events[0].detail.as_deref(), Some("detail 1"));
+        reset();
     }
 
     /// Regression test for per-request metric scoping: a second

@@ -1,8 +1,9 @@
 //! Chrome Trace Event Format exporter.
 //!
 //! Emits the JSON object form (`{"traceEvents": [...]}`) understood by
-//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev). Each
-//! finished span becomes one complete event (`"ph": "X"`) with
+//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev). Each span
+//! finished while trace events were on ([`crate::set_trace_events`])
+//! becomes one complete event (`"ph": "X"`) with
 //! microsecond `ts`/`dur`; counter totals are appended as counter
 //! events (`"ph": "C"`) so they show up as tracks.
 //!
@@ -101,7 +102,7 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::json::{self, Value};
-    use crate::{reset, set_enabled, span};
+    use crate::{reset, set_enabled, set_trace_events, span};
 
     #[test]
     fn escape_handles_specials() {
@@ -114,6 +115,7 @@ mod tests {
         let _l = crate::test_lock();
         reset();
         set_enabled(true);
+        set_trace_events(true);
         for i in 0..3 {
             let _g = crate::span!("trace.test", "layer{i}");
             std::hint::black_box(i);
@@ -122,6 +124,7 @@ mod tests {
             let _g = span("trace.plain");
         }
         set_enabled(false);
+        set_trace_events(false);
 
         let text = chrome_trace_json();
         let value = json::parse(&text).expect("trace JSON must parse");

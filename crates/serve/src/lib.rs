@@ -75,5 +75,5 @@ pub use loadgen::{
 pub use protocol::{Op, Request};
 pub use queue::{BoundedQueue, PushError, ShardedQueue, TryPop};
 pub use reactor::{Completion, LineHandler, Outcome, Reactor, ReactorConfig};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{key_memo, Server, ServerConfig, ServerHandle};
 pub use shed::{AdaptiveShed, Admission, LatencyEstimator};

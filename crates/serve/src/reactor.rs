@@ -227,6 +227,9 @@ impl Conn {
     }
 }
 
+/// The default request-line bound of [`ReactorConfig::max_line`].
+pub const DEFAULT_MAX_LINE: usize = 1 << 20;
+
 /// Reactor construction parameters.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
@@ -241,7 +244,7 @@ impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             shards: 1,
-            max_line: 1 << 20,
+            max_line: DEFAULT_MAX_LINE,
         }
     }
 }

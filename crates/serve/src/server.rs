@@ -51,12 +51,13 @@
 
 use crate::protocol::{self, Op, Request};
 use crate::queue::{PushError, ShardedQueue};
-use crate::reactor::{Completion, LineHandler, Outcome, Reactor, ReactorConfig};
+use crate::reactor::{Completion, LineHandler, Outcome, Reactor, ReactorConfig, DEFAULT_MAX_LINE};
 use crate::shed::{AdaptiveShed, Admission};
 use crate::stream_hub::StreamHub;
 use smm_core::report::plan_json;
 use smm_core::{
-    CacheStats, CancelToken, LayerMemo, PlanCache, PlanError, PlanKey, PlanSpec, PredictedCost,
+    CacheStats, CancelToken, KeyMemo, LayerMemo, PlanCache, PlanError, PlanKey, PlanSpec,
+    PredictedCost,
 };
 use smm_model::Network;
 use smm_obs::{Counter, CounterSnapshot};
@@ -80,6 +81,27 @@ const PREWARM_HORIZON: usize = 30;
 /// Plans one pre-warm thread builds per tick, bounding how much
 /// background planning competes with foreground misses.
 const PREWARM_PER_TICK: usize = 4;
+
+/// Floor of the key memo's entry bound; see [`key_memo`].
+const KEY_MEMO_MIN_ENTRIES: usize = 4096;
+
+/// Maximal request lines' worth of bytes the key memo may hold; see
+/// [`key_memo`].
+const KEY_MEMO_LINES: usize = 16;
+
+/// The spec → plan-key memo of a node caching `cache_cap` plans (a
+/// router passes 0). Entries: twice the cache, so every cached plan
+/// keeps a memoized spec even when clients spell it two ways, and at
+/// least 4096 so small caches and routers still memoize a realistic key
+/// set. Bytes: 16 request lines of the reactor's [`DEFAULT_MAX_LINE`],
+/// so no inline topology a client can send is too large to memoize,
+/// and none can grow the memo past 16 MiB of text and key encodings.
+pub fn key_memo(cache_cap: usize) -> KeyMemo {
+    KeyMemo::new(
+        cache_cap.saturating_mul(2).max(KEY_MEMO_MIN_ENTRIES),
+        KEY_MEMO_LINES * DEFAULT_MAX_LINE,
+    )
+}
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -171,6 +193,9 @@ struct Shared {
     /// a cold plan produced, and a plan migrated in from another fleet
     /// node (the `migrate` verb) is indistinguishable from a local one.
     cache: PlanCache<Arc<String>>,
+    /// Spec → plan-key memo: a repeat request finds its cache key
+    /// without resolving the network or encoding the key.
+    keys: KeyMemo,
     /// Shape-keyed layer-decision memo, shared across all workers and
     /// requests: two concurrent requests for models with overlapping
     /// layer shapes (or the same model at the same GLB size missing the
@@ -292,6 +317,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: ShardedQueue::new(stripes, cfg.queue_cap),
             cache: PlanCache::new(cfg.cache_cap),
+            keys: key_memo(cfg.cache_cap),
             memo: Arc::new(LayerMemo::default()),
             shutdown: Arc::clone(&shutdown),
             verify_plans: cfg.verify_plans,
@@ -535,27 +561,26 @@ fn handle_plan(
         protocol::deadline_response_into(reply, &req.id, 0);
         return Outcome::Replied;
     }
-    let spec = req.to_spec();
-    match spec.resolve() {
-        Ok(net) => {
-            let key = spec.cache_key(&net);
-            if let Some(plan) = shared.cache.get(&key) {
-                // Inline hit: answered on the reactor, no queue, no
-                // worker, no cross-thread hop.
-                smm_obs::add(Counter::ServeRequests, 1);
-                smm_obs::add(Counter::ServeInlineHits, 1);
-                shared.inline_hits.fetch_add(1, Ordering::Relaxed);
-                let metrics = request_metrics(start, &before);
-                shared.tap(lane, cell, EventKind::HitInline, metrics.elapsed_us);
-                protocol::ok_plan_response_into(reply, &req.id, true, &metrics, &plan);
-                return Outcome::Replied;
-            }
-        }
+    let key = match shared.keys.key(&req.to_spec()) {
+        Ok((key, _)) => key,
         Err(e) => {
             shared.tap(lane, cell, EventKind::Error, 0);
             protocol::error_response_into(reply, &req.id, &e.to_string());
             return Outcome::Replied;
         }
+    };
+    // A probe, not a get: a miss is counted once, by the worker that
+    // goes on to plan.
+    if let Some(plan) = shared.cache.probe(&key) {
+        // Inline hit: answered on the reactor, no queue, no worker, no
+        // cross-thread hop.
+        smm_obs::add(Counter::ServeRequests, 1);
+        smm_obs::add(Counter::ServeInlineHits, 1);
+        shared.inline_hits.fetch_add(1, Ordering::Relaxed);
+        let metrics = request_metrics(start, &before);
+        shared.tap(lane, cell, EventKind::HitInline, metrics.elapsed_us);
+        protocol::ok_plan_response_into(reply, &req.id, true, &metrics, &plan);
+        return Outcome::Replied;
     }
 
     // Cache miss: seed the pre-warm controller (any cell that ever
@@ -809,23 +834,24 @@ fn serve_plan(job: &Job, shared: &Arc<Shared>) -> (String, bool, EventKind) {
     }
     let start = Instant::now();
     let before = CounterSnapshot::capture();
-    // One spec describes the whole job; the network, the cache key, and
+    // One spec describes the whole job; the cache key, the network, and
     // the planner configuration are all derived from it.
     let spec = req.to_spec();
-    let net = match spec.resolve() {
-        Ok(net) => net,
-        Err(e) => {
-            return (
-                protocol::error_response(&req.id, &e.to_string()),
-                true,
-                EventKind::Error,
-            )
-        }
+    let error = |e: PlanError| {
+        (
+            protocol::error_response(&req.id, &e.to_string()),
+            true,
+            EventKind::Error,
+        )
     };
-    let key = spec.cache_key(&net);
+    let key = match shared.keys.key(&spec) {
+        Ok((key, _)) => key,
+        Err(e) => return error(e),
+    };
 
     // Re-check the cache: a concurrent request (or the pre-warm
     // controller) may have planned this key while the job sat queued.
+    // This `get` is where the request's miss is counted.
     if let Some(plan) = shared.cache.get(&key) {
         let metrics = request_metrics(start, &before);
         return (
@@ -834,6 +860,10 @@ fn serve_plan(job: &Job, shared: &Arc<Shared>) -> (String, bool, EventKind) {
             EventKind::HitWorker,
         );
     }
+    let net = match spec.resolve() {
+        Ok(net) => net,
+        Err(e) => return error(e),
+    };
 
     let cancel = match job.deadline {
         Some(d) => CancelToken::with_deadline(d),
@@ -893,10 +923,9 @@ fn prewarm_loop(shared: &Arc<Shared>, cap: usize, inflight: &parking_lot::Mutex<
                 continue;
             };
             let spec = seed.to_spec();
-            let Ok(net) = spec.resolve() else {
+            let Ok((key, _)) = shared.keys.key(&spec) else {
                 continue;
             };
-            let key = spec.cache_key(&net);
             // Cheap non-promoting probe: a warm candidate costs nothing.
             if shared.cache.peek(&key) {
                 continue;
@@ -911,19 +940,25 @@ fn prewarm_loop(shared: &Arc<Shared>, cap: usize, inflight: &parking_lot::Mutex<
             // key between the first probe and now.
             if shared.cache.peek(&key) {
                 smm_obs::add(Counter::ServePrewarmSkipped, 1);
-            } else {
-                let start = Instant::now();
-                if let Ok((_, cost)) = plan_render_cache(
+            } else if let Ok(net) = spec.resolve() {
+                // The plan's cost is not booked: the book holds what
+                // client misses cost, and the ranking reads it. Booking
+                // background plans (cheaper, on a warm layer memo)
+                // lowered each warmed cell's score in turn, so near-tied
+                // cells took turns in the top `cap`, and warming each
+                // newcomer evicted the least recently used plan — on an
+                // idle server, sooner or later the hottest one.
+                if plan_render_cache(
                     shared,
                     &spec,
                     &net,
                     key,
                     seed.delay_ms,
                     &CancelToken::none(),
-                ) {
+                )
+                .is_ok()
+                {
                     smm_obs::add(Counter::ServePrewarmInserted, 1);
-                    let measured = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    hub.record_cost(cell, cost.latency_us, measured);
                 }
                 warmed += 1;
             }

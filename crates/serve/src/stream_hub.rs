@@ -502,10 +502,7 @@ mod tests {
         let shutdown = AtomicBool::new(true);
         hub.run_collector(consumers, &shutdown); // one pass; must not panic
         let body = hub.view_body(1, true);
-        assert!(
-            body.contains("\"window_ms\":90,\"slide_ms\":30"),
-            "{body}"
-        );
+        assert!(body.contains("\"window_ms\":90,\"slide_ms\":30"), "{body}");
     }
 
     #[test]

@@ -23,11 +23,14 @@ fn profile_and_chrome_trace_cover_a_planned_network() {
     assert_eq!(obs::counter_value(obs::Counter::PlannerCandidates), 0);
     assert!(obs::report().is_empty());
 
-    // -- enabled: plan once, inspect the aggregates --
+    // -- enabled, with the trace events a Chrome trace needs: plan
+    //    once, inspect the aggregates --
     obs::reset();
     obs::set_enabled(true);
+    obs::set_trace_events(true);
     let plan = manager.heterogeneous(&net).unwrap();
     obs::set_enabled(false);
+    obs::set_trace_events(false);
     let layers = plan.decisions.len() as u64;
 
     let report = obs::report();

@@ -291,3 +291,103 @@ fn loadgen_round_trip_reports() {
     assert!(text.contains("hit rate"), "{text}");
     handle.join(); // loadgen sent the shutdown op
 }
+
+/// The `stats` cache counters match what clients saw: `hits` equals
+/// the `cache_hit:true` responses (answered inline or on the worker's
+/// re-check) and `misses` equals the requests that went on to plan, so
+/// a request that misses both the reactor probe and the worker re-check
+/// counts one miss, not two.
+#[test]
+fn stats_count_each_hit_and_miss_once() {
+    // One worker and a simulated planning cost: pipelined copies of a
+    // cold key all miss on the reactor and queue behind the first,
+    // which plans; the rest then hit on the worker's re-check.
+    let handle = Server::spawn(ServerConfig {
+        workers: 1,
+        prewarm: false,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let addr = handle.local_addr();
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    let mut responses = Vec::new();
+    for _round in 0..2 {
+        let mut batch = String::new();
+        for model in ["mobilenet", "resnet18"] {
+            for _ in 0..4 {
+                batch.push_str(&format!(
+                    "{{\"model\":\"{model}\",\"glb_kb\":96,\"delay_ms\":100}}\n"
+                ));
+            }
+        }
+        writer.write_all(batch.as_bytes()).unwrap();
+        for _ in 0..8 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(status_of(line.trim()), "ok", "{line}");
+            responses.push(line);
+        }
+    }
+    let client_hits = responses.iter().filter(|r| cache_hit_of(r)).count() as f64;
+    let client_misses = responses.len() as f64 - client_hits;
+
+    let stats = parse(&round_trip(addr, r#"{"op":"stats"}"#)).unwrap();
+    let num = |v: Option<&Value>| match v {
+        Some(Value::Number(n)) => *n,
+        other => panic!("not a number: {other:?}"),
+    };
+    let cache = stats.get("cache").expect("stats has cache");
+    let (hits, misses) = (num(cache.get("hits")), num(cache.get("misses")));
+    let inline = num(stats.get("inline_hits"));
+    assert_eq!(hits, client_hits, "stats hits vs cache_hit:true responses");
+    assert_eq!(misses, client_misses, "stats misses vs planned requests");
+    assert_eq!(misses, 2.0, "one plan per distinct key");
+    // The first round's copies hit on the worker, the second round's
+    // inline on the reactor.
+    assert!(hits - inline >= 1.0, "no worker re-check hit: {stats:?}");
+    assert!(inline >= 8.0, "second round must hit inline: {stats:?}");
+
+    handle.stop();
+    handle.join();
+}
+
+/// A zoo model's topology sent inline (under the model's own name)
+/// reaches the zoo request's cache entry, and an unknown model answers
+/// the same error every time.
+#[test]
+fn inline_csv_of_a_zoo_model_hits_the_zoo_entry() {
+    use scratchpad_mm::model::{topology, zoo};
+    use scratchpad_mm::serve::protocol::json_escape;
+
+    let handle = Server::spawn(ServerConfig::default()).expect("spawn server");
+    let addr = handle.local_addr();
+    let cold = round_trip(addr, r#"{"model":"resnet18","glb_kb":128}"#);
+    assert!(!cache_hit_of(&cold), "{cold}");
+
+    let net = zoo::resnet18();
+    let inline = format!(
+        "{{\"topology\":\"{}\",\"name\":\"{}\",\"glb_kb\":128}}",
+        json_escape(&topology::write(&net)),
+        net.name
+    );
+    for _ in 0..2 {
+        let warm = round_trip(addr, &inline);
+        assert!(cache_hit_of(&warm), "{warm}");
+        assert_eq!(plan_payload(&warm), plan_payload(&cold));
+    }
+    let upper = round_trip(addr, r#"{"model":"RESNET18","glb_kb":128}"#);
+    assert!(cache_hit_of(&upper), "{upper}");
+
+    for _ in 0..2 {
+        assert_eq!(
+            round_trip(addr, r#"{"model":"no-such-net","id":"u"}"#),
+            r#"{"id":"u","status":"error","message":"unknown model \"no-such-net\""}"#
+        );
+    }
+
+    handle.stop();
+    handle.join();
+}
