@@ -971,6 +971,7 @@ fn fleet_admin(addr: &str, op: &str, node: &str) -> Result<(), String> {
 /// fleet router, which aggregates per node) and print the windowed
 /// per-cell traffic table.
 pub fn top(opts: &crate::args::TopOptions) -> Result<(), String> {
+    use smm_obs::json::Value;
     use std::io::{BufRead, BufReader, Write};
     let addr = &opts.addr;
     let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
@@ -1000,21 +1001,11 @@ pub fn top(opts: &crate::args::TopOptions) -> Result<(), String> {
         };
     }
     let v = smm_obs::json::parse(line).map_err(|e| format!("bad stream response: {e}"))?;
-    if !matches!(v.get("status"), Some(smm_obs::json::Value::String(s)) if s == "ok") {
+    if v.get("status").and_then(Value::as_str) != Some("ok") {
         return Err(format!("stream request failed: {line}"));
     }
-    let num = |obj: &smm_obs::json::Value, k: &str| -> u64 {
-        match obj.get(k) {
-            Some(smm_obs::json::Value::Number(n)) if *n >= 0.0 => *n as u64,
-            _ => 0,
-        }
-    };
-    let sval = |obj: &smm_obs::json::Value, k: &str| -> String {
-        match obj.get(k) {
-            Some(smm_obs::json::Value::String(s)) => s.clone(),
-            _ => String::new(),
-        }
-    };
+    let num = |obj: &Value, k: &str| obj.get(k).and_then(Value::as_u64).unwrap_or(0);
+    let sval = |obj: &Value, k: &str| obj.get(k).and_then(Value::as_str).unwrap_or("").to_owned();
     println!(
         "stream:  {} windows of {}ms",
         sval(&v, "kind"),

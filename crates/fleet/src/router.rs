@@ -34,6 +34,7 @@ use crate::backend::Backend;
 use crate::ring::HashRing;
 use smm_core::report::json_escape;
 use smm_core::{KeyMemo, PlanKey};
+use smm_obs::json::Value;
 use smm_obs::Counter;
 use smm_serve::protocol::{self, Op};
 use smm_serve::{
@@ -136,10 +137,30 @@ pub struct FleetCountersSnapshot {
 }
 
 /// One request waiting for a forwarder-pool thread: the raw line to
-/// forward plus the reactor completion that routes the response back.
+/// forward (backends receive these bytes), what the reactor parsed from
+/// it, and the reactor completion that routes the response back.
 struct ForwardJob {
     line: String,
+    parsed: Parsed,
     completion: Completion,
+}
+
+/// A request line as parsed once on the reactor.
+enum Parsed {
+    /// A node-protocol request.
+    Request(protocol::Request),
+    /// A router-only membership verb (`fleet_join` / `fleet_leave`) and
+    /// the JSON it came in.
+    Admin(String, Value),
+}
+
+impl Parsed {
+    fn id(&self) -> Option<String> {
+        match self {
+            Parsed::Request(req) => req.id.clone(),
+            Parsed::Admin(_, v) => v.get("id").and_then(Value::as_str).map(String::from),
+        }
+    }
 }
 
 struct RouterShared {
@@ -329,23 +350,21 @@ struct RouterLineHandler {
 impl LineHandler for RouterLineHandler {
     fn handle(&self, line: &str, reply: &mut String, completion: Completion) -> Outcome {
         let shared = &self.shared;
+        let v = match protocol::parse_json(line) {
+            Ok(v) => v,
+            Err(msg) => {
+                protocol::error_response_into(reply, &None, &msg);
+                return Outcome::Replied;
+            }
+        };
         // Admin verbs are router-only and unknown to the node protocol,
         // so they are recognized on the raw JSON before the strict
-        // parse. They talk to backends → forwarder pool.
-        if let Ok(v) = smm_obs::json::parse(line) {
-            let op = match v.get("op") {
-                Some(smm_obs::json::Value::String(s)) => s.clone(),
-                _ => String::new(),
-            };
-            if op == "fleet_join" || op == "fleet_leave" {
-                let id = match v.get("id") {
-                    Some(smm_obs::json::Value::String(s)) => Some(s.clone()),
-                    _ => None,
-                };
-                return defer_to_pool(shared, line, &id, false, reply, completion);
-            }
+        // field walk. They talk to backends → forwarder pool.
+        if let Some(op @ ("fleet_join" | "fleet_leave")) = v.get("op").and_then(Value::as_str) {
+            let op = op.to_owned();
+            return defer_to_pool(shared, line, Parsed::Admin(op, v), reply, completion);
         }
-        let req = match protocol::parse_request(line) {
+        let req = match protocol::request_from_value(&v) {
             Ok(req) => req,
             Err(msg) => {
                 protocol::error_response_into(reply, &None, &msg);
@@ -370,10 +389,9 @@ impl LineHandler for RouterLineHandler {
                 );
                 Outcome::Replied
             }
-            Op::Stats | Op::Stream | Op::Migrate => {
-                defer_to_pool(shared, line, &req.id, false, reply, completion)
+            Op::Stats | Op::Stream | Op::Migrate | Op::Plan => {
+                defer_to_pool(shared, line, Parsed::Request(req), reply, completion)
             }
-            Op::Plan => defer_to_pool(shared, line, &req.id, true, reply, completion),
         }
     }
 }
@@ -381,71 +399,55 @@ impl LineHandler for RouterLineHandler {
 /// Hand one line to the forwarder pool. A full queue sheds plan
 /// requests (counted like an all-replicas-down shed) and answers other
 /// verbs with an overload error — the reactor never blocks.
-// `&Option<String>` matches the `smm_serve::protocol` renderer
-// signatures this forwards `id` into.
-#[allow(clippy::ref_option)]
 fn defer_to_pool(
     shared: &Arc<RouterShared>,
     line: &str,
-    id: &Option<String>,
-    is_plan: bool,
+    parsed: Parsed,
     reply: &mut String,
     completion: Completion,
 ) -> Outcome {
     let job = ForwardJob {
         line: line.to_string(),
+        parsed,
         completion: completion.defer(),
     };
-    match shared.queue.try_push(job) {
-        Ok(()) => Outcome::Deferred,
-        Err(PushError::Full(job)) => {
-            let ForwardJob { completion, .. } = job;
-            completion.cancel();
-            if is_plan {
-                bump(&shared.counters.shed, Counter::FleetShed, 1);
-                protocol::shed_response_into(reply, id);
-            } else {
-                protocol::error_response_into(reply, id, "router forwarder queue is full");
-            }
-            Outcome::Replied
+    let (job, full) = match shared.queue.try_push(job) {
+        Ok(()) => return Outcome::Deferred,
+        Err(PushError::Full(job)) => (job, true),
+        Err(PushError::Closed(job)) => (job, false),
+    };
+    job.completion.cancel();
+    let id = job.parsed.id();
+    match job.parsed {
+        _ if !full => protocol::error_response_into(reply, &id, "router is shutting down"),
+        Parsed::Request(req) if req.op == Op::Plan => {
+            bump(&shared.counters.shed, Counter::FleetShed, 1);
+            protocol::shed_response_into(reply, &id);
         }
-        Err(PushError::Closed(job)) => {
-            let ForwardJob { completion, .. } = job;
-            completion.cancel();
-            protocol::error_response_into(reply, id, "router is shutting down");
-            Outcome::Replied
-        }
+        _ => protocol::error_response_into(reply, &id, "router forwarder queue is full"),
     }
+    Outcome::Replied
 }
 
 /// One forwarder-pool thread: pop, forward, fulfill.
 fn forward_loop(shared: &Arc<RouterShared>) {
     while let Some(job) = shared.queue.pop() {
-        let response = forward_line(&job.line, shared);
+        let response = forward_line(&job.line, &job.parsed, shared);
         job.completion.fulfill(response);
     }
 }
 
-/// Dispatch one deferred request line against the backends.
-fn forward_line(line: &str, shared: &Arc<RouterShared>) -> String {
-    if let Ok(v) = smm_obs::json::parse(line) {
-        let op = match v.get("op") {
-            Some(smm_obs::json::Value::String(s)) => s.clone(),
-            _ => String::new(),
-        };
-        if op == "fleet_join" || op == "fleet_leave" {
-            return handle_admin(&op, &v, shared);
-        }
-    }
-    let req = match protocol::parse_request(line) {
-        Ok(req) => req,
-        Err(msg) => return protocol::error_response(&None, &msg),
+/// Dispatch one deferred request against the backends.
+fn forward_line(line: &str, parsed: &Parsed, shared: &Arc<RouterShared>) -> String {
+    let req = match parsed {
+        Parsed::Admin(op, v) => return handle_admin(op, v, shared),
+        Parsed::Request(req) => req,
     };
     match req.op {
         Op::Stats => fleet_stats(req.id.as_deref(), shared),
-        Op::Stream => fleet_stream(line, &req, shared),
-        Op::Migrate => route_migrate(line, &req, shared),
-        Op::Plan => route_plan(line, &req, shared),
+        Op::Stream => fleet_stream(line, req, shared),
+        Op::Migrate => route_migrate(line, req, shared),
+        Op::Plan => route_plan(line, req, shared),
         // Inline verbs never reach the pool.
         Op::Ping | Op::Shutdown | Op::Dump => {
             protocol::error_response(&req.id, "internal: op should be answered on the reactor")
@@ -636,18 +638,8 @@ struct FleetCell {
 /// of each node's **newest closed window** merged by cell key into a
 /// fleet-wide activity table (sorted by event count).
 fn fleet_stream(line: &str, req: &protocol::Request, shared: &Arc<RouterShared>) -> String {
-    let num = |v: &smm_obs::json::Value| -> u64 {
-        match v {
-            smm_obs::json::Value::Number(n) if *n >= 0.0 => *n as u64,
-            _ => 0,
-        }
-    };
-    let sval = |v: &smm_obs::json::Value, k: &str| -> String {
-        match v.get(k) {
-            Some(smm_obs::json::Value::String(s)) => s.clone(),
-            _ => String::new(),
-        }
-    };
+    let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
+    let sval = |v: &Value, k: &str| v.get(k).and_then(Value::as_str).unwrap_or("").to_owned();
     let backends: Vec<Arc<Backend>> = shared.backends.read().values().cloned().collect();
     let mut sorted: Vec<&Arc<Backend>> = backends.iter().collect();
     sorted.sort_by_key(|b| b.addr().to_owned());
@@ -667,13 +659,12 @@ fn fleet_stream(line: &str, req: &protocol::Request, shared: &Arc<RouterShared>)
         if backend.is_healthy() {
             if let Ok(resp) = backend.forward(line, shared.cfg.forward_timeout) {
                 if let Ok(v) = smm_obs::json::parse(&resp) {
-                    if matches!(v.get("status"), Some(smm_obs::json::Value::String(s)) if s == "ok")
-                    {
-                        let events = v.get("events").map_or(0, &num);
-                        let late = v.get("late_events").map_or(0, &num);
-                        let dropped = v.get("dropped").map_or(0, &num);
-                        let closed = v.get("windows_closed").map_or(0, &num);
-                        let seen = v.get("cells_seen").map_or(0, &num);
+                    if v.get("status").and_then(Value::as_str) == Some("ok") {
+                        let events = num(&v, "events");
+                        let late = num(&v, "late_events");
+                        let dropped = num(&v, "dropped");
+                        let closed = num(&v, "windows_closed");
+                        let seen = num(&v, "cells_seen");
                         fleet_events += events;
                         fleet_late += late;
                         fleet_dropped += dropped;
@@ -681,9 +672,9 @@ fn fleet_stream(line: &str, req: &protocol::Request, shared: &Arc<RouterShared>)
                         if !sval(&v, "kind").is_empty() {
                             kind = sval(&v, "kind");
                         }
-                        window_ms = window_ms.max(v.get("window_ms").map_or(0, &num));
-                        if let Some(smm_obs::json::Value::Array(windows)) = v.get("windows") {
-                            if let Some(smm_obs::json::Value::Array(ws)) =
+                        window_ms = window_ms.max(num(&v, "window_ms"));
+                        if let Some(Value::Array(windows)) = v.get("windows") {
+                            if let Some(Value::Array(ws)) =
                                 windows.first().and_then(|w| w.get("cells"))
                             {
                                 for c in ws {
@@ -691,31 +682,26 @@ fn fleet_stream(line: &str, req: &protocol::Request, shared: &Arc<RouterShared>)
                                     let entry = cells.entry(key).or_default();
                                     if entry.model.is_empty() {
                                         entry.model = sval(c, "model");
-                                        entry.glb_kb = c.get("glb_kb").map_or(0, &num);
+                                        entry.glb_kb = num(c, "glb_kb");
                                         entry.tenant = sval(c, "tenant");
                                     }
-                                    let ev = c.get("events").map_or(0, &num);
+                                    let ev = num(c, "events");
                                     entry.events += ev;
-                                    entry.hit_inline += c.get("hit_inline").map_or(0, &num);
-                                    entry.hit_worker += c.get("hit_worker").map_or(0, &num);
-                                    entry.miss += c.get("miss").map_or(0, &num);
-                                    entry.shed_static += c.get("shed_static").map_or(0, &num);
-                                    entry.shed_adaptive += c.get("shed_adaptive").map_or(0, &num);
-                                    entry.shed_predicted += c.get("shed_predicted").map_or(0, &num);
-                                    entry.deadline += c.get("deadline").map_or(0, &num);
-                                    entry.error += c.get("error").map_or(0, &num);
-                                    entry.mean_weighted +=
-                                        ev.saturating_mul(c.get("mean_us").map_or(0, &num));
-                                    entry.p50_us =
-                                        entry.p50_us.max(c.get("p50_us").map_or(0, &num));
-                                    entry.p99_us =
-                                        entry.p99_us.max(c.get("p99_us").map_or(0, &num));
-                                    entry.predicted_us = entry
-                                        .predicted_us
-                                        .max(c.get("predicted_us").map_or(0, &num));
-                                    entry.predicted_miss_us = entry
-                                        .predicted_miss_us
-                                        .max(c.get("predicted_miss_us").map_or(0, &num));
+                                    entry.hit_inline += num(c, "hit_inline");
+                                    entry.hit_worker += num(c, "hit_worker");
+                                    entry.miss += num(c, "miss");
+                                    entry.shed_static += num(c, "shed_static");
+                                    entry.shed_adaptive += num(c, "shed_adaptive");
+                                    entry.shed_predicted += num(c, "shed_predicted");
+                                    entry.deadline += num(c, "deadline");
+                                    entry.error += num(c, "error");
+                                    entry.mean_weighted += ev.saturating_mul(num(c, "mean_us"));
+                                    entry.p50_us = entry.p50_us.max(num(c, "p50_us"));
+                                    entry.p99_us = entry.p99_us.max(num(c, "p99_us"));
+                                    entry.predicted_us =
+                                        entry.predicted_us.max(num(c, "predicted_us"));
+                                    entry.predicted_miss_us =
+                                        entry.predicted_miss_us.max(num(c, "predicted_miss_us"));
                                 }
                             }
                         }
@@ -793,32 +779,27 @@ fn id_field(id: Option<&str>) -> String {
 /// Parse a backend's `stats` response back into a [`protocol::NodeStats`].
 fn parse_node_stats(resp: &str) -> Option<protocol::NodeStats> {
     let v = smm_obs::json::parse(resp).ok()?;
-    let num = |v: &smm_obs::json::Value| -> u64 {
-        match v {
-            smm_obs::json::Value::Number(n) if *n >= 0.0 => *n as u64,
-            _ => 0,
-        }
-    };
+    let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
     let cache = v.get("cache")?;
     let memo = v.get("memo")?;
     Some(protocol::NodeStats {
         cache: smm_core::CacheStats {
-            hits: cache.get("hits").map_or(0, &num),
-            misses: cache.get("misses").map_or(0, &num),
-            evictions: cache.get("evictions").map_or(0, &num),
-            len: cache.get("len").map_or(0, &num) as usize,
-            capacity: cache.get("capacity").map_or(0, &num) as usize,
+            hits: num(cache, "hits"),
+            misses: num(cache, "misses"),
+            evictions: num(cache, "evictions"),
+            len: num(cache, "len") as usize,
+            capacity: num(cache, "capacity") as usize,
         },
-        queued: v.get("queued").map_or(0, &num) as usize,
-        shed: v.get("shed").map_or(0, &num),
-        shed_adaptive: v.get("shed_adaptive").map_or(0, &num),
-        shed_predicted: v.get("shed_predicted").map_or(0, &num),
-        queue_depth_peak: v.get("queue_depth_peak").map_or(0, &num),
-        ewma_latency_us: v.get("ewma_latency_us").map_or(0, &num),
-        inline_hits: v.get("inline_hits").map_or(0, &num),
-        verify_failed: v.get("verify_failed").map_or(0, &num),
-        memo_hits: memo.get("hits").map_or(0, &num),
-        memo_misses: memo.get("misses").map_or(0, &num),
+        queued: num(&v, "queued") as usize,
+        shed: num(&v, "shed"),
+        shed_adaptive: num(&v, "shed_adaptive"),
+        shed_predicted: num(&v, "shed_predicted"),
+        queue_depth_peak: num(&v, "queue_depth_peak"),
+        ewma_latency_us: num(&v, "ewma_latency_us"),
+        inline_hits: num(&v, "inline_hits"),
+        verify_failed: num(&v, "verify_failed"),
+        memo_hits: num(memo, "hits"),
+        memo_misses: num(memo, "misses"),
     })
 }
 
@@ -843,28 +824,22 @@ fn accumulate(agg: &mut protocol::NodeStats, s: &protocol::NodeStats) {
 }
 
 /// Handle a `fleet_join` / `fleet_leave` admin line.
-fn handle_admin(op: &str, v: &smm_obs::json::Value, shared: &Arc<RouterShared>) -> String {
-    let id = match v.get("id") {
-        Some(smm_obs::json::Value::String(s)) => Some(s.clone()),
-        _ => None,
-    };
-    let node = match v.get("node") {
-        Some(smm_obs::json::Value::String(s)) => s.clone(),
-        _ => {
-            return protocol::error_response(&id, &format!("{op} request needs \"node\""));
-        }
+fn handle_admin(op: &str, v: &Value, shared: &Arc<RouterShared>) -> String {
+    let id = v.get("id").and_then(Value::as_str).map(String::from);
+    let Some(node) = v.get("node").and_then(Value::as_str) else {
+        return protocol::error_response(&id, &format!("{op} request needs \"node\""));
     };
     let result = if op == "fleet_join" {
-        fleet_join(shared, &node)
+        fleet_join(shared, node)
     } else {
-        fleet_leave(shared, &node)
+        fleet_leave(shared, node)
     };
     match result {
         Ok((plans, bytes)) => format!(
             "{{{}\"status\":\"ok\",\"op\":\"{op}\",\"node\":\"{}\",\
              \"migrated_plans\":{plans},\"migrated_bytes\":{bytes}}}",
             id_field(id.as_deref()),
-            json_escape(&node)
+            json_escape(node)
         ),
         Err(msg) => protocol::error_response(&id, &msg),
     }
@@ -978,21 +953,17 @@ fn dump_entries(donor: &Backend, limit: u64, timeout: Duration) -> Vec<(PlanKey,
     let Ok(v) = smm_obs::json::parse(&resp) else {
         return Vec::new();
     };
-    let Some(smm_obs::json::Value::Array(entries)) = v.get("entries") else {
+    let Some(Value::Array(entries)) = v.get("entries") else {
         return Vec::new();
     };
     entries
         .iter()
         .filter_map(|e| {
-            let Some(smm_obs::json::Value::String(key_hex)) = e.get("key") else {
-                return None;
-            };
-            let Some(smm_obs::json::Value::String(plan)) = e.get("plan_json") else {
-                return None;
-            };
+            let key_hex = e.get("key").and_then(Value::as_str)?;
+            let plan = e.get("plan_json").and_then(Value::as_str)?;
             PlanKey::from_stable_hex(key_hex)
                 .ok()
-                .map(|k| (k, plan.clone()))
+                .map(|k| (k, plan.to_owned()))
         })
         .collect()
 }

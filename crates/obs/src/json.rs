@@ -31,6 +31,23 @@ impl Value {
             _ => None,
         }
     }
+
+    /// A non-negative number as `u64` (fractions truncate, values past
+    /// `u64::MAX` saturate); `None` for anything else.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Number(n) if *n >= 0.0 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// A string's contents; `None` for anything else.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
 }
 
 /// A parse failure: byte offset plus message.
@@ -302,6 +319,19 @@ mod tests {
         assert_eq!(items.len(), 3);
         assert_eq!(items[1].get("b"), Some(&Value::String("x".into())));
         assert_eq!(v.get("c"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn typed_accessors() {
+        let v = parse(r#"{"n":42,"f":2.5,"neg":-1,"s":"x","b":true}"#).unwrap();
+        assert_eq!(v.get("n").and_then(Value::as_u64), Some(42));
+        assert_eq!(v.get("f").and_then(Value::as_u64), Some(2));
+        assert_eq!(v.get("neg").and_then(Value::as_u64), None);
+        assert_eq!(v.get("s").and_then(Value::as_u64), None);
+        assert_eq!(v.get("s").and_then(Value::as_str), Some("x"));
+        assert_eq!(v.get("n").and_then(Value::as_str), None);
+        assert_eq!(v.get("b").and_then(Value::as_str), None);
+        assert_eq!(parse("1e300").unwrap().as_u64(), Some(u64::MAX));
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   per reactor shard with work-stealing workers. When a stripe is
 //!   full new requests are *shed* with an explicit response instead of
 //!   queuing without bound.
-//! - [`shed`] — adaptive load shedding: an EWMA service-latency
-//!   estimator that tightens the effective queue cap so queue *time*
-//!   (not length) stays bounded under slow-plan overload.
+//! - [`admission`] — one admission decision per cache miss over one
+//!   estimator type: the static queue cap, an effective cap that keeps
+//!   queue *time* (not length) bounded under slow-plan overload, and
+//!   the cell's predicted miss cost against the request's deadline.
 //! - [`stream_hub`] — windowed traffic analytics: reactor shards and
 //!   workers tap terminal request outcomes into lock-free SPSC lanes; a
 //!   collector drains them into watermark-driven tumbling and sliding
@@ -59,6 +60,7 @@
 
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod epoll;
 pub mod frame;
 pub mod loadgen;
@@ -66,9 +68,9 @@ pub mod protocol;
 pub mod queue;
 pub mod reactor;
 pub mod server;
-pub mod shed;
 pub mod stream_hub;
 
+pub use admission::{Admission, Decision, Estimate, ShedReason};
 pub use loadgen::{
     parse_mix, CellTally, LoadgenConfig, LoadgenReport, MixEntry, NodeTally, ServerStats,
 };
@@ -76,4 +78,3 @@ pub use protocol::{Op, Request};
 pub use queue::{BoundedQueue, PushError, ShardedQueue, TryPop};
 pub use reactor::{Completion, LineHandler, Outcome, Reactor, ReactorConfig};
 pub use server::{key_memo, Server, ServerConfig, ServerHandle};
-pub use shed::{AdaptiveShed, Admission, LatencyEstimator};

@@ -604,23 +604,20 @@ fn fetch_server_stats(addr: &str) -> Option<ServerStats> {
     let mut line = String::new();
     reader.read_line(&mut line).ok()?;
     let v = smm_obs::json::parse(line.trim()).ok()?;
-    let num = |v: Option<&smm_obs::json::Value>| -> u64 {
-        match v {
-            Some(smm_obs::json::Value::Number(n)) if *n >= 0.0 => *n as u64,
-            _ => 0,
-        }
+    let num = |v: &smm_obs::json::Value, k: &str| {
+        v.get(k).and_then(smm_obs::json::Value::as_u64).unwrap_or(0)
     };
     let memo = v.get("memo")?;
     Some(ServerStats {
-        shed: num(v.get("shed")),
-        shed_adaptive: num(v.get("shed_adaptive")),
-        shed_predicted: num(v.get("shed_predicted")),
-        queue_depth_peak: num(v.get("queue_depth_peak")),
-        ewma_latency_us: num(v.get("ewma_latency_us")),
-        inline_hits: num(v.get("inline_hits")),
-        verify_failed: num(v.get("verify_failed")),
-        memo_hits: num(memo.get("hits")),
-        memo_misses: num(memo.get("misses")),
+        shed: num(&v, "shed"),
+        shed_adaptive: num(&v, "shed_adaptive"),
+        shed_predicted: num(&v, "shed_predicted"),
+        queue_depth_peak: num(&v, "queue_depth_peak"),
+        ewma_latency_us: num(&v, "ewma_latency_us"),
+        inline_hits: num(&v, "inline_hits"),
+        verify_failed: num(&v, "verify_failed"),
+        memo_hits: num(memo, "hits"),
+        memo_misses: num(memo, "misses"),
     })
 }
 

@@ -213,8 +213,18 @@ fn as_u64(v: &smm_obs::json::Value, field: &str) -> Result<u64, String> {
 /// Parse one request line. Errors are human-readable messages that name
 /// the offending field; they never panic, whatever the input.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = smm_obs::json::parse(line).map_err(|e| format!("bad request JSON: {e}"))?;
-    let smm_obs::json::Value::Object(members) = &v else {
+    request_from_value(&parse_json(line)?)
+}
+
+/// The JSON half of [`parse_request`], with the same error message, for
+/// callers that inspect the JSON before the strict field walk.
+pub fn parse_json(line: &str) -> Result<smm_obs::json::Value, String> {
+    smm_obs::json::parse(line).map_err(|e| format!("bad request JSON: {e}"))
+}
+
+/// The field-walk half of [`parse_request`].
+pub fn request_from_value(v: &smm_obs::json::Value) -> Result<Request, String> {
+    let smm_obs::json::Value::Object(members) = v else {
         return Err("request must be a JSON object".into());
     };
     let mut req = Request::default();

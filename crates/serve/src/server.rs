@@ -18,11 +18,12 @@
 //!   [`PlanCache`], and plan on a miss with a cooperative
 //!   [`CancelToken`]. The response returns to the owning shard via a
 //!   [`Completion`] and is written by the reactor;
-//! - admission is guarded by [`AdaptiveShed`]: the static `queue_cap`
-//!   bound plus an EWMA latency estimator (fed by worker-observed
-//!   service times, decayed by a background **sampler** thread when
-//!   idle) that tightens the effective cap so queue *time*, not queue
-//!   *length*, stays bounded under slow-plan overload.
+//! - admission is one [`Admission::decide`] call per miss: the static
+//!   `queue_cap` bound, an effective cap that keeps queue *time*, not
+//!   queue *length*, bounded under slow-plan overload, and the cell's
+//!   predicted miss cost against the request's deadline. Its estimates
+//!   are fed by worker-observed service times and age lazily while
+//!   idle, so no thread runs the controller.
 //!
 //! Shutdown (via [`ServerHandle::stop`] or a client `shutdown` op) is
 //! graceful: the acceptor stops, each shard drains — deferred requests
@@ -45,14 +46,14 @@
 //!   shard inbox mutex, which is also what makes a worker's writes
 //!   visible to the reactor thread that serializes them.
 //! - The statistics mirrors (`shed`, `shed_adaptive`, `inline_hits`,
-//!   `queue_depth_peak`, `verify_failed`) and the EWMA estimator are
-//!   intentionally `Relaxed`: monotone statistics and admission
+//!   `queue_depth_peak`, `verify_failed`) and the admission estimates
+//!   are intentionally `Relaxed`: monotone statistics and admission
 //!   heuristics, never used to publish data.
 
+use crate::admission::{Admission, Decision, ShedReason};
 use crate::protocol::{self, Op, Request};
 use crate::queue::{PushError, ShardedQueue};
 use crate::reactor::{Completion, LineHandler, Outcome, Reactor, ReactorConfig, DEFAULT_MAX_LINE};
-use crate::shed::{AdaptiveShed, Admission};
 use crate::stream_hub::StreamHub;
 use smm_core::report::plan_json;
 use smm_core::{
@@ -68,9 +69,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// How often the background sampler decays the idle EWMA estimate.
-const SAMPLER_INTERVAL: Duration = Duration::from_millis(50);
 
 /// How often the pre-warm controller re-ranks candidates.
 const PREWARM_INTERVAL: Duration = Duration::from_millis(50);
@@ -125,9 +123,9 @@ pub struct ServerConfig {
     /// caching or responding; a plan with error-severity diagnostics is
     /// rejected (answered as an error, never cached).
     pub verify_plans: bool,
-    /// Enable the EWMA admission controller that tightens the
-    /// effective queue cap under slow-plan load. `false` reproduces the
-    /// legacy static-cap behavior exactly.
+    /// Enable adaptive admission: the effective queue cap tightens
+    /// under slow-plan load and deadline-hopeless misses are shed.
+    /// `false` checks the static `queue_cap` only.
     pub adaptive_shed: bool,
     /// Target queue-wait budget for the adaptive controller, in
     /// milliseconds: the effective cap is the queue length whose
@@ -177,10 +175,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued planning job: the parsed request plus the completion
+/// One queued planning job: the parsed request, what the reactor
+/// already derived from it (plan key, stream cell), and the completion
 /// that routes the response back to the owning reactor shard.
 struct Job {
     req: Request,
+    key: PlanKey,
+    cell: Option<u32>,
     deadline: Option<Instant>,
     completion: Completion,
 }
@@ -206,8 +207,8 @@ struct Shared {
     /// Shared with the reactor: raising it starts the graceful drain.
     shutdown: Arc<AtomicBool>,
     verify_plans: bool,
-    /// Admission controller (static cap + EWMA tightening).
-    ctl: AdaptiveShed,
+    /// Admission controller and the node's service-latency estimate.
+    admission: Admission,
     /// Traffic-stream hub (taps, windows, controller books); `None`
     /// when the stream is disabled.
     hub: Option<Arc<StreamHub>>,
@@ -235,7 +236,7 @@ impl Shared {
             shed_adaptive: self.shed_adaptive.load(Ordering::Relaxed),
             shed_predicted: self.shed_predicted.load(Ordering::Relaxed),
             queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            ewma_latency_us: self.ctl.estimator.estimate_us(),
+            ewma_latency_us: self.admission.service.at(self.admission.now()),
             inline_hits: self.inline_hits.load(Ordering::Relaxed),
             verify_failed: self.verify_failed.load(Ordering::Relaxed),
             memo_hits: memo.hits,
@@ -243,20 +244,36 @@ impl Shared {
         }
     }
 
-    fn count_shed(&self, adaptive: bool) {
+    /// Refuse one plan request: count it under its reason, tap it, and
+    /// answer `shed`.
+    // `&Option<String>` matches the protocol renderers' signatures.
+    #[allow(clippy::ref_option)]
+    fn shed(
+        &self,
+        reason: ShedReason,
+        lane: usize,
+        cell: Option<u32>,
+        id: &Option<String>,
+        reply: &mut String,
+    ) -> Outcome {
         smm_obs::add(Counter::ServeShed, 1);
         self.shed.fetch_add(1, Ordering::Relaxed);
-        if adaptive {
-            smm_obs::add(Counter::ServeShedAdaptive, 1);
-            self.shed_adaptive.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn count_shed_predicted(&self) {
-        smm_obs::add(Counter::ServeShed, 1);
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        smm_obs::add(Counter::ServeShedPredicted, 1);
-        self.shed_predicted.fetch_add(1, Ordering::Relaxed);
+        let kind = match reason {
+            ShedReason::Static => EventKind::ShedStatic,
+            ShedReason::Adaptive => {
+                smm_obs::add(Counter::ServeShedAdaptive, 1);
+                self.shed_adaptive.fetch_add(1, Ordering::Relaxed);
+                EventKind::ShedAdaptive
+            }
+            ShedReason::Predicted => {
+                smm_obs::add(Counter::ServeShedPredicted, 1);
+                self.shed_predicted.fetch_add(1, Ordering::Relaxed);
+                EventKind::ShedPredicted
+            }
+        };
+        self.tap(lane, cell, kind, 0);
+        protocol::shed_response_into(reply, id);
+        Outcome::Replied
     }
 
     /// Emit one classified-request event into the stream tap, if the
@@ -276,7 +293,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     reactor: Option<Reactor>,
     workers: Vec<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
     collector: Option<JoinHandle<()>>,
     prewarmers: Vec<JoinHandle<()>>,
     stream_stop: Arc<AtomicBool>,
@@ -321,7 +337,7 @@ impl Server {
             memo: Arc::new(LayerMemo::default()),
             shutdown: Arc::clone(&shutdown),
             verify_plans: cfg.verify_plans,
-            ctl: AdaptiveShed::new(
+            admission: Admission::new(
                 cfg.queue_cap,
                 workers_n,
                 cfg.shed_target_ms.saturating_mul(1000),
@@ -385,14 +401,6 @@ impl Server {
             })
             .collect();
 
-        let sampler = cfg.adaptive_shed.then(|| {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("smm-serve-sampler".into())
-                .spawn(move || sampler_loop(&shared))
-                .expect("spawn sampler thread")
-        });
-
         let handler: Arc<dyn LineHandler> = Arc::new(ServeHandler {
             shared: Arc::clone(&shared),
         });
@@ -411,7 +419,6 @@ impl Server {
             shared,
             reactor: Some(reactor),
             workers,
-            sampler,
             collector,
             prewarmers,
             stream_stop,
@@ -428,8 +435,8 @@ impl ServerHandle {
     /// Signal shutdown. Non-blocking; pair with [`join`](Self::join).
     pub fn stop(&self) {
         // Release pairs with the Acquire polls in the reactor and the
-        // sampler; the flag carries no data, it only has to become
-        // visible.
+        // pre-warm threads; the flag carries no data, it only has to
+        // become visible.
         self.shared.shutdown.store(true, Ordering::Release);
     }
 
@@ -459,9 +466,6 @@ impl ServerHandle {
         self.shared.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        if let Some(s) = self.sampler.take() {
-            let _ = s.join();
         }
         for p in self.prewarmers.drain(..) {
             let _ = p.join();
@@ -585,46 +589,29 @@ fn handle_plan(
 
     // Cache miss: seed the pre-warm controller (any cell that ever
     // missed can be re-planned without a client), then admission.
-    if let (Some(hub), Some(cell)) = (shared.hub.as_deref(), cell) {
-        hub.record_seed(cell, &req);
-    }
+    let now = shared.admission.now();
+    let cell_miss_us = match (shared.hub.as_deref(), cell) {
+        (Some(hub), Some(cell)) => {
+            hub.record_seed(cell, &req);
+            hub.predicted_miss_us(cell, now)
+        }
+        _ => None,
+    };
     let deadline_left_us = deadline.map(|d| {
         u64::try_from(d.saturating_duration_since(Instant::now()).as_micros()).unwrap_or(u64::MAX)
     });
-    // SLA-aware admission: when the stream controller has a measured
-    // miss cost for this cell and the request cannot possibly meet its
-    // deadline, shed it now instead of letting it expire in the queue.
-    // Fail-open: no deadline, no stream, or no book entry admits, and
-    // every N-th consecutive shed of a cell is admitted as a probe
-    // (`StreamHub::shed_probe`) — sheds produce no measurements, so
-    // without probes one slow outlier could deny a cell forever.
-    if let (Some(left), Some(hub), Some(cell)) = (deadline_left_us, shared.hub.as_deref(), cell) {
-        if hub.predicted_miss_us(cell).is_some_and(|cost| cost > left) && !hub.shed_probe(cell) {
-            shared.count_shed_predicted();
-            shared.tap(lane, Some(cell), EventKind::ShedPredicted, 0);
-            protocol::shed_response_into(reply, &req.id);
-            return Outcome::Replied;
-        }
-    }
-    match shared.ctl.admit(shared.queue.len(), deadline_left_us) {
-        Admission::Admit => {}
-        Admission::ShedStatic => {
-            shared.count_shed(false);
-            shared.tap(lane, cell, EventKind::ShedStatic, 0);
-            protocol::shed_response_into(reply, &req.id);
-            return Outcome::Replied;
-        }
-        Admission::ShedAdaptive => {
-            shared.count_shed(true);
-            shared.tap(lane, cell, EventKind::ShedAdaptive, 0);
-            protocol::shed_response_into(reply, &req.id);
-            return Outcome::Replied;
-        }
+    let decision = shared
+        .admission
+        .decide(shared.queue.len(), deadline_left_us, cell_miss_us, now);
+    if let Decision::Shed(reason) = decision {
+        return shared.shed(reason, lane, cell, &req.id, reply);
     }
     let id = req.id.clone();
     let stripe = completion.shard_id() % shared.queue.shards();
     let job = Job {
         req,
+        key,
+        cell,
         deadline,
         completion: completion.defer(),
     };
@@ -639,10 +626,7 @@ fn handle_plan(
         Err(PushError::Full(job)) => {
             let Job { completion, .. } = job;
             completion.cancel();
-            shared.count_shed(false);
-            shared.tap(lane, cell, EventKind::ShedStatic, 0);
-            protocol::shed_response_into(reply, &id);
-            Outcome::Replied
+            shared.shed(ShedReason::Static, lane, cell, &id, reply)
         }
         Err(PushError::Closed(job)) => {
             let Job { completion, .. } = job;
@@ -694,21 +678,6 @@ fn serve_migrate(req: &Request, shared: &Arc<Shared>, reply: &mut String) {
     protocol::migrate_response_into(reply, &req.id);
 }
 
-/// The background sampler: decays the EWMA estimate while no requests
-/// complete, so adaptive shedding relaxes after a burst instead of
-/// latching shut, and keeps the obs high-water gauge fresh.
-fn sampler_loop(shared: &Arc<Shared>) {
-    let mut last = 0u64;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        thread::sleep(SAMPLER_INTERVAL);
-        last = shared.ctl.estimator.decay_tick(last);
-        smm_obs::record_max(
-            Counter::ServeEwmaLatencyUs,
-            shared.ctl.estimator.estimate_us(),
-        );
-    }
-}
-
 fn worker_loop(index: usize, shared: &Arc<Shared>) {
     let home = index % shared.queue.shards();
     // The worker's tap lane sits after the reactor shards' lanes.
@@ -722,10 +691,11 @@ fn worker_loop(index: usize, shared: &Arc<Shared>) {
             // held the worker. Dequeue-expired jobs are excluded: their
             // near-zero cost says nothing about service latency and
             // would drag the estimate down exactly when load is high.
-            shared.ctl.estimator.observe(elapsed_us);
+            let now = shared.admission.now();
+            let est = shared.admission.service.observe(elapsed_us, now);
+            smm_obs::record_max(Counter::ServeEwmaLatencyUs, est);
         }
-        let cell = shared.hub.as_ref().map(|h| h.cell_of(&job.req));
-        shared.tap(lane, cell, kind, elapsed_us);
+        shared.tap(lane, job.cell, kind, elapsed_us);
         let Job { completion, .. } = job;
         completion.fulfill(response);
     }
@@ -834,25 +804,10 @@ fn serve_plan(job: &Job, shared: &Arc<Shared>) -> (String, bool, EventKind) {
     }
     let start = Instant::now();
     let before = CounterSnapshot::capture();
-    // One spec describes the whole job; the cache key, the network, and
-    // the planner configuration are all derived from it.
-    let spec = req.to_spec();
-    let error = |e: PlanError| {
-        (
-            protocol::error_response(&req.id, &e.to_string()),
-            true,
-            EventKind::Error,
-        )
-    };
-    let key = match shared.keys.key(&spec) {
-        Ok((key, _)) => key,
-        Err(e) => return error(e),
-    };
-
     // Re-check the cache: a concurrent request (or the pre-warm
     // controller) may have planned this key while the job sat queued.
     // This `get` is where the request's miss is counted.
-    if let Some(plan) = shared.cache.get(&key) {
+    if let Some(plan) = shared.cache.get(&job.key) {
         let metrics = request_metrics(start, &before);
         return (
             protocol::ok_plan_response(&req.id, true, &metrics, &plan),
@@ -860,24 +815,32 @@ fn serve_plan(job: &Job, shared: &Arc<Shared>) -> (String, bool, EventKind) {
             EventKind::HitWorker,
         );
     }
+    // The spec the reactor keyed is rebuilt to resolve the network and
+    // configure the planner.
+    let spec = req.to_spec();
     let net = match spec.resolve() {
         Ok(net) => net,
-        Err(e) => return error(e),
+        Err(e) => {
+            return (
+                protocol::error_response(&req.id, &e.to_string()),
+                true,
+                EventKind::Error,
+            )
+        }
     };
 
     let cancel = match job.deadline {
         Some(d) => CancelToken::with_deadline(d),
         None => CancelToken::none(),
     };
-    match plan_render_cache(shared, &spec, &net, key, req.delay_ms, &cancel) {
+    match plan_render_cache(shared, &spec, &net, job.key.clone(), req.delay_ms, &cancel) {
         Ok((json, cost)) => {
             // Feed the controller's cost book: the analytic Eq.-1
             // latency and the measured planning time (including any
             // simulated delay) of a genuine miss.
-            if let Some(hub) = &shared.hub {
-                let cell = hub.cell_of(req);
+            if let (Some(hub), Some(cell)) = (&shared.hub, job.cell) {
                 let measured = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                hub.record_cost(cell, cost.latency_us, measured);
+                hub.record_cost(cell, cost.latency_us, measured, shared.admission.now());
             }
             let metrics = request_metrics(start, &before);
             (

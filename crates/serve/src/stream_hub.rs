@@ -19,15 +19,17 @@
 //!   for the next client miss;
 //! - **costs** — per-cell predicted miss cost: the analytic Eq.-1
 //!   latency ([`mod@smm_core::predict`]) and the *measured* planning time
-//!   (including any simulated `delay_ms`), fed by the worker miss path
-//!   and the pre-warm controller. Admission uses the measured number
-//!   (shed a miss whose predicted cost cannot meet its deadline);
-//!   ranking and views use both.
+//!   (including any simulated `delay_ms`) as an [`Estimate`], fed by
+//!   client misses only — background pre-warm plans are not booked.
+//!   Admission reads the measured cost aged to now (shed a miss whose
+//!   predicted cost cannot meet its deadline); ranking and views read
+//!   both, the measured one un-aged.
 //!
 //! The hot-path cost of the tap is one registry intern (read lock +
 //! hash on the common path) and one wait-free ring push; a full ring
 //! drops the event and bumps a counter, never blocking the reactor.
 
+use crate::admission::Estimate;
 use crate::protocol::Request;
 use parking_lot::{Mutex, RwLock};
 use smm_stream::{
@@ -61,23 +63,14 @@ const VIEW_CELLS: usize = 32;
 /// built: high enough that unknown-but-hot cells still get warmed.
 const DEFAULT_COST_US: u64 = 1_000;
 
-/// Admit one deadline-bearing miss per cell after this many
-/// consecutive predictive sheds (a **probe**). Sheds produce no cost
-/// measurements, so without probes one slow outlier could deny a
-/// cell's misses indefinitely once pre-warm is off; the probe feeds a
-/// fresh measurement back into the book.
-const PROBE_EVERY: u64 = 32;
-
 /// Per-cell predicted costs; see the module docs.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 pub struct CellCost {
     /// Eq.-1 analytic execution latency of the cell's plan, µs.
     pub analytic_us: u64,
     /// Measured wall-clock cost of planning a miss for this cell
     /// (including simulated `delay_ms`), µs.
-    pub miss_service_us: u64,
-    /// Predictive sheds since the last measurement (probe pacing).
-    sheds_since_measure: u64,
+    pub miss: Estimate,
 }
 
 /// Shared stream state; see the module docs.
@@ -195,47 +188,19 @@ impl StreamHub {
         self.seeds.lock().get(&cell).cloned()
     }
 
-    /// Record (or refresh) the predicted costs of a cell.
-    pub fn record_cost(&self, cell: u32, analytic_us: u64, miss_service_us: u64) {
+    /// Book one client miss of a cell: its plan's analytic latency and
+    /// the measured planning time, observed at tick `now`.
+    pub fn record_cost(&self, cell: u32, analytic_us: u64, miss_service_us: u64, now: u32) {
         let mut costs = self.costs.write();
         let entry = costs.entry(cell).or_default();
         entry.analytic_us = analytic_us;
-        // Conventional smoothing EWMA, new = (3*old + measured) / 4:
-        // one slow outlier nudges the estimate by a quarter of the
-        // excess instead of immediately dominating admission.
-        entry.miss_service_us = if entry.miss_service_us == 0 {
-            miss_service_us
-        } else {
-            (entry
-                .miss_service_us
-                .saturating_mul(3)
-                .saturating_add(miss_service_us))
-                / 4
-        };
-        entry.sheds_since_measure = 0;
+        entry.miss.observe(miss_service_us, now);
     }
 
-    /// The measured miss cost of a cell, if it was ever planned.
-    pub fn predicted_miss_us(&self, cell: u32) -> Option<u64> {
-        self.costs.read().get(&cell).map(|c| c.miss_service_us)
-    }
-
-    /// Account one would-be predictive shed of `cell`; returns `true`
-    /// when the shed should instead be admitted as a probe. Every
-    /// `PROBE_EVERY`-th (32nd) consecutive shed probes, and any
-    /// [`Self::record_cost`] (worker miss or pre-warm) restarts the
-    /// run, so a stale estimate can always be corrected by fresh
-    /// measurements even when pre-warm is disabled.
-    pub fn shed_probe(&self, cell: u32) -> bool {
-        let mut costs = self.costs.write();
-        let entry = costs.entry(cell).or_default();
-        entry.sheds_since_measure += 1;
-        if entry.sheds_since_measure >= PROBE_EVERY {
-            entry.sheds_since_measure = 0;
-            true
-        } else {
-            false
-        }
+    /// The measured miss cost of a cell aged to tick `now`, if a miss
+    /// of it was ever booked.
+    pub fn predicted_miss_us(&self, cell: u32, now: u32) -> Option<u64> {
+        self.costs.read().get(&cell).map(|c| c.miss.at(now))
     }
 
     /// Rank pre-warm candidates over the last `horizon` tumbling
@@ -250,7 +215,7 @@ impl StreamHub {
             .map(|(&cell, agg)| {
                 let cost = costs
                     .get(&cell)
-                    .map_or(DEFAULT_COST_US, |c| c.miss_service_us.max(c.analytic_us));
+                    .map_or(DEFAULT_COST_US, |c| c.miss.last().max(c.analytic_us));
                 (u128::from(agg.events) * u128::from(cost.max(1)), cell)
             })
             .collect();
@@ -399,7 +364,7 @@ impl StreamHub {
             agg.quantile_us(0.50),
             agg.quantile_us(0.99),
             cost.map_or(0, |c| c.analytic_us),
-            cost.map_or(0, |c| c.miss_service_us),
+            cost.map_or(0, |c| c.miss.last()),
         );
     }
 }
@@ -469,15 +434,16 @@ mod tests {
         let shutdown = AtomicBool::new(false);
         let hot = hub.cell_of(&plan_req("resnet18", 64, None));
         let cold = hub.cell_of(&plan_req("gemm-bench", 256, None));
-        hub.record_cost(hot, 500, 10_000);
-        assert_eq!(hub.predicted_miss_us(hot), Some(10_000));
-        hub.record_cost(hot, 500, 2_000);
+        hub.record_cost(hot, 500, 10_000, 0);
+        assert_eq!(hub.predicted_miss_us(hot, 0), Some(10_000));
+        hub.record_cost(hot, 500, 2_000, 0);
         assert_eq!(
-            hub.predicted_miss_us(hot),
+            hub.predicted_miss_us(hot, 0),
             Some(8_000),
             "EWMA weights the old estimate 3/4"
         );
-        hub.record_cost(cold, 400, 4_000);
+        assert_eq!(hub.predicted_miss_us(hot, 2), Some(6_000), "aged");
+        hub.record_cost(cold, 400, 4_000, 0);
         // 9 hot arrivals vs 1 cold arrival with comparable costs.
         for _ in 0..9 {
             hub.emit(0, hot, EventKind::Miss, 2_000);
@@ -503,28 +469,5 @@ mod tests {
         hub.run_collector(consumers, &shutdown); // one pass; must not panic
         let body = hub.view_body(1, true);
         assert!(body.contains("\"window_ms\":90,\"slide_ms\":30"), "{body}");
-    }
-
-    #[test]
-    fn predictive_sheds_probe_periodically() {
-        let (hub, _consumers) = StreamHub::new(1, 100, 100);
-        let cell = hub.cell_of(&plan_req("resnet18", 64, None));
-        hub.record_cost(cell, 500, 10_000);
-        for i in 1..PROBE_EVERY {
-            assert!(!hub.shed_probe(cell), "shed {i} must not probe yet");
-        }
-        assert!(
-            hub.shed_probe(cell),
-            "every {PROBE_EVERY}-th consecutive shed is admitted as a probe"
-        );
-        // A fresh measurement (worker miss or pre-warm) restarts the run.
-        for _ in 0..10 {
-            assert!(!hub.shed_probe(cell));
-        }
-        hub.record_cost(cell, 500, 9_000);
-        for _ in 1..PROBE_EVERY {
-            assert!(!hub.shed_probe(cell));
-        }
-        assert!(hub.shed_probe(cell));
     }
 }

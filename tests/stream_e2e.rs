@@ -191,3 +191,38 @@ fn predictive_shed_refuses_deadline_hopeless_misses() {
     handle.stop();
     handle.join();
 }
+
+/// `--static-cap` means the static queue cap only: the same steps as
+/// above admit the deadline-hopeless miss, which then answers
+/// `deadline` from the worker, and nothing counts as a predictive shed.
+#[test]
+fn static_cap_never_sheds_predictively() {
+    let handle = spawn(ServerConfig {
+        workers: 1,
+        cache_cap: 0,
+        window_ms: 100,
+        prewarm: false,
+        adaptive_shed: false,
+        obs: false,
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+
+    let teach = r#"{"model":"mobilenet","glb_kb":64,"delay_ms":50}"#;
+    let resp = round_trip(addr, teach);
+    assert!(resp.contains("\"status\":\"ok\""), "{resp}");
+
+    let hopeless = r#"{"model":"mobilenet","glb_kb":64,"delay_ms":50,"deadline_ms":10}"#;
+    let resp = round_trip(addr, hopeless);
+    assert!(
+        resp.contains("\"status\":\"deadline\""),
+        "static cap must admit the hopeless miss: {resp}"
+    );
+
+    let stats = round_trip(addr, r#"{"op":"stats"}"#);
+    assert!(stats.contains("\"shed\":0"), "{stats}");
+    assert!(stats.contains("\"shed_predicted\":0"), "{stats}");
+
+    handle.stop();
+    handle.join();
+}
