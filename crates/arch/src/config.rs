@@ -1,5 +1,4 @@
 use crate::{ByteSize, DataWidth};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The GLB sizes evaluated throughout the paper's result section, in kB.
@@ -36,7 +35,7 @@ impl std::error::Error for ConfigError {}
 /// Accelerator specification, mirroring the paper's inputs (Figure 4):
 /// operations per cycle, data width, GLB size, and off-chip bandwidth,
 /// plus the PE-array geometry used by the systolic compute model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AcceleratorConfig {
     /// Systolic array rows (16 in the paper).
     pub pe_rows: usize,

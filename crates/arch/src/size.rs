@@ -1,5 +1,4 @@
 use crate::DataWidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -9,9 +8,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// All capacity constraints in the paper (Eq. 1 and Eq. 2) compare data
 /// volumes against the GLB size; keeping the unit in the type avoids the
 /// classic bytes-vs-elements mixups when the data width is not 8 bits.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {

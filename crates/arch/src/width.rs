@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Element data width used by the accelerator datapath and buffers.
@@ -7,9 +6,7 @@ use std::fmt;
 /// 8/16/32-bit widths in Figure 7. Width affects how many elements fit in
 /// the GLB and how many elements the fixed byte-bandwidth DRAM interface
 /// moves per cycle.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum DataWidth {
     /// 8-bit elements (the paper's default).
     #[default]

@@ -2,7 +2,6 @@
 
 use crate::chart::bar_block;
 use crate::{acc, SIZES_KB};
-use rayon::prelude::*;
 use smm_arch::{ByteSize, DataWidth};
 use smm_core::report::{benefit_pct, TextTable};
 use smm_core::sweep::{plan_matrix, SweepScheme};
@@ -40,7 +39,7 @@ pub fn fig5_data() -> Vec<Fig5Row> {
         .flat_map(|n| (0..SIZES_KB.len()).map(move |g| (n, g)))
         .collect();
     cells
-        .par_iter()
+        .iter()
         .map(|&(n, g)| {
             let net = &nets[n];
             let kb = SIZES_KB[g];

@@ -4,7 +4,6 @@
 //! "results … have been validated against \[28\]").
 
 use crate::acc;
-use rayon::prelude::*;
 use smm_core::energy::{plan_energy, traffic_energy, EnergyModel};
 use smm_core::report::TextTable;
 use smm_core::{Manager, ManagerConfig, Objective};
@@ -95,7 +94,7 @@ pub fn validate_bounded(max_map_elems: u64, max_filter_elems: u64) -> (usize, us
         .collect();
 
     let results: Vec<(usize, usize)> = layers
-        .par_iter()
+        .iter()
         .map(|(_, shape)| {
             let mut ok = 0;
             let mut total = 0;

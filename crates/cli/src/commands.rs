@@ -75,7 +75,7 @@ fn plan_spec(opts: &Options) -> Result<PlanSpec, String> {
 /// or `--trace-out` asked for it, then print the profile report and/or
 /// write the Chrome trace. The report and trace are still produced when
 /// `body` fails, so a failing run can be inspected too.
-fn with_observability(
+pub fn with_observability(
     opts: &Options,
     body: impl FnOnce() -> Result<(), String>,
 ) -> Result<(), String> {
@@ -145,10 +145,6 @@ pub fn list_models() -> Result<(), String> {
 
 /// `smm analyze <model>`
 pub fn analyze(opts: &Options) -> Result<(), String> {
-    with_observability(opts, || analyze_body(opts))
-}
-
-fn analyze_body(opts: &Options) -> Result<(), String> {
     let spec = plan_spec(opts)?;
     let net = spec.resolve().map_err(|e| e.to_string())?;
     let plan = spec
@@ -236,10 +232,6 @@ fn analyze_body(opts: &Options) -> Result<(), String> {
 /// `smm check <model|topology.csv|all>` — plan, then statically verify
 /// the plan against the paper's GLB invariants with `smm-check`.
 pub fn check(opts: &Options) -> Result<(), String> {
-    with_observability(opts, || check_body(opts))
-}
-
-fn check_body(opts: &Options) -> Result<(), String> {
     if opts.target.as_deref() == Some("all") {
         return check_all(opts);
     }
@@ -287,10 +279,6 @@ fn check_body(opts: &Options) -> Result<(), String> {
 /// statically analyze the DMA command streams: hazard proofs, occupancy
 /// proofs, redundant-transfer detection (SMM012–SMM018).
 pub fn lint(opts: &Options) -> Result<(), String> {
-    with_observability(opts, || lint_body(opts))
-}
-
-fn lint_body(opts: &Options) -> Result<(), String> {
     if opts.target.as_deref() == Some("all") {
         return lint_all(opts);
     }
@@ -555,10 +543,6 @@ pub fn explain(opts: &Options) -> Result<(), String> {
 /// `smm lower <model> <layer>` — the DMA command stream of the chosen
 /// policy for one layer (truncated listing).
 pub fn lower(opts: &Options) -> Result<(), String> {
-    with_observability(opts, || lower_body(opts))
-}
-
-fn lower_body(opts: &Options) -> Result<(), String> {
     const HEAD: usize = 40;
     let net = load_network(opts)?;
     let Some(layer_name) = &opts.target2 else {
@@ -676,10 +660,6 @@ fn lower_json(
 /// discrete-event simulator, cross-checking against the analytic
 /// estimate (SMM011) when the scenario is clean.
 pub fn simulate(opts: &Options) -> Result<(), String> {
-    with_observability(opts, || simulate_body(opts))
-}
-
-fn simulate_body(opts: &Options) -> Result<(), String> {
     let spec = plan_spec(opts)?;
     let net = spec.resolve().map_err(|e| e.to_string())?;
     let plan = spec
@@ -800,10 +780,6 @@ pub fn baseline(opts: &Options) -> Result<(), String> {
 
 /// `smm sweep <model>` — Figure 5/8-style comparison for one model.
 pub fn sweep(opts: &Options) -> Result<(), String> {
-    with_observability(opts, || sweep_body(opts))
-}
-
-fn sweep_body(opts: &Options) -> Result<(), String> {
     let net = load_network(opts)?;
     let mut t = TextTable::new(&[
         "GLB", "sa_25_75", "sa_50_50", "sa_75_25", "Hom", "Het", "base cyc", "Het cyc",

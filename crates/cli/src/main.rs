@@ -133,26 +133,48 @@ fn run(argv: &[String]) -> Result<(), String> {
         return Err("missing command".into());
     };
     let rest = &argv[1..];
-    match cmd.as_str() {
-        "list-models" => commands::list_models(),
-        "analyze" => commands::analyze(&args::parse(rest)?),
-        "check" => commands::check(&args::parse(rest)?),
-        "lint" => commands::lint(&args::parse(rest)?),
-        "explain" => commands::explain(&args::parse(rest)?),
-        "lower" => commands::lower(&args::parse(rest)?),
-        "baseline" => commands::baseline(&args::parse(rest)?),
-        "simulate" => commands::simulate(&args::parse(rest)?),
-        "sweep" => commands::sweep(&args::parse(rest)?),
-        "tenants" => commands::tenants(&args::parse(rest)?),
-        "topology" => commands::topology(&args::parse(rest)?),
-        "serve" => commands::serve(&args::parse_serve(rest)?),
-        "loadgen" => commands::loadgen(&args::parse_loadgen(rest)?),
-        "top" => commands::top(&args::parse_top(rest)?),
-        "fleet" => commands::fleet(&args::parse_fleet(rest)?),
+    // Every command that takes the shared planning options honours
+    // `--profile` and `--trace-out` the same way.
+    let command: fn(&args::Options) -> Result<(), String> = match cmd.as_str() {
+        "analyze" => commands::analyze,
+        "check" => commands::check,
+        "lint" => commands::lint,
+        "explain" => commands::explain,
+        "lower" => commands::lower,
+        "baseline" => commands::baseline,
+        "simulate" => commands::simulate,
+        "sweep" => commands::sweep,
+        "tenants" => commands::tenants,
+        "topology" => commands::topology,
+        "list-models" => return commands::list_models(),
+        "serve" => return commands::serve(&args::parse_serve(rest)?),
+        "loadgen" => return commands::loadgen(&args::parse_loadgen(rest)?),
+        "top" => return commands::top(&args::parse_top(rest)?),
+        "fleet" => return commands::fleet(&args::parse_fleet(rest)?),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    let opts = args::parse(rest)?;
+    commands::with_observability(&opts, || command(&opts))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+    use smm_obs::Counter;
+
+    #[test]
+    fn profile_is_honoured_by_every_planning_command() {
+        let argv: Vec<String> = ["explain", "resnet18", "fc", "--glb", "64", "--profile"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        run(&argv).unwrap();
+        assert!(smm_obs::counter_value(Counter::PlannerCandidates) > 0);
+        assert!(smm_obs::counter_value(Counter::EstimatorCalls) > 0);
+        assert!(!smm_obs::enabled(), "the collector is switched off again");
     }
 }

@@ -27,7 +27,6 @@
 
 use crate::{ExecutionPlan, ManagerConfig, NetworkRef, Objective, PlanError, PlanSpec};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use smm_arch::AcceleratorConfig;
 use smm_model::Network;
 use std::collections::HashMap;
@@ -37,7 +36,7 @@ use std::sync::Arc;
 
 /// Whether a request asks for the heterogeneous or best-homogeneous
 /// scheme — part of the cache key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanScheme {
     /// Algorithm 1 per layer (`Het`).
     Heterogeneous,

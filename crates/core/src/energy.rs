@@ -12,11 +12,10 @@
 //! schemes, not absolute joules, is what the evaluation needs.
 
 use crate::ExecutionPlan;
-use serde::{Deserialize, Serialize};
 use smm_model::Network;
 
 /// Per-operation energy coefficients in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy to move one byte across the off-chip interface.
     pub dram_pj_per_byte: f64,
@@ -39,7 +38,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy breakdown for one network execution, in microjoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     pub dram_uj: f64,
     pub sram_uj: f64,

@@ -24,7 +24,7 @@
 //!   matches the greedy plan on the objective, falling back to it
 //!   byte-identically when the search finds nothing strictly better
 //!   (see `docs/SCHEDULING.md`).
-//! - [`sweep`] — a Rayon-parallel experiment matrix runner for the
+//! - [`sweep`] — an experiment matrix runner for the
 //!   figure-scale sweeps (models × buffer sizes × schemes).
 //! - [`cache`] — an LRU cache of plans keyed by the canonical hash of
 //!   the full planning input, shared across serving workers.

@@ -1,13 +1,12 @@
 use crate::plan::ExecutionPlan;
 use crate::planner::{LayerPlanner, Planner};
-use serde::{Deserialize, Serialize};
 use smm_arch::AcceleratorConfig;
 use smm_model::Network;
 use smm_policy::{PolicyEstimate, PolicyKind};
 use std::fmt;
 
 /// The two optimization objectives of Section 3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Objective {
     /// Objective 1: reduce off-chip data transfers under the memory
     /// constraint.
@@ -46,7 +45,7 @@ impl Objective {
 }
 
 /// Which inter-layer scheduler assembles the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// The paper's pipeline: Algorithm 1 per layer, optionally followed
     /// by the Section 5.4 greedy handoff pass.
@@ -87,7 +86,7 @@ impl fmt::Display for SchedulerKind {
 /// Knobs of the memory-management technique. Prefetching and inter-layer
 /// reuse can be disabled to reproduce the Figure 10 / Figure 11
 /// ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ManagerConfig {
     pub objective: Objective,
     /// Allow the double-buffered `+p` policy variants (Eq. 2).

@@ -1,9 +1,8 @@
-use serde::{Deserialize, Serialize};
 use smm_arch::{AcceleratorConfig, ByteSize};
 use smm_policy::{AccessCounts, LatencyEstimate, PolicyEstimate, PolicyKind};
 
 /// Whether a plan applies one policy everywhere or the per-layer best.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// Every layer runs the same policy (`Hom` in the paper's figures).
     Homogeneous(PolicyKind),
@@ -22,7 +21,7 @@ impl Scheme {
 }
 
 /// One layer's assignment in an execution plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerDecision {
     /// Index in the network's layer order.
     pub layer_index: usize,
@@ -73,7 +72,7 @@ impl LayerDecision {
 }
 
 /// Aggregate totals of an execution plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanTotals {
     /// Off-chip elements moved over the whole network.
     pub accesses_elems: u64,
@@ -88,7 +87,7 @@ pub struct PlanTotals {
 }
 
 /// A complete per-layer policy assignment for one network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionPlan {
     /// Network name.
     pub network: String,

@@ -3,8 +3,7 @@
 //! [`Planner`] runs a plan as explicit passes over a network:
 //!
 //! 1. **Selection pass** — Algorithm 1's per-layer inner loop, executed
-//!    for every layer (in parallel via rayon; each layer is
-//!    independent), through one [`LayerPlanner`] that owns candidate
+//!    for every layer, through one [`LayerPlanner`] that owns candidate
 //!    enumeration, the GLB feasibility filter, and the lexicographic
 //!    objective comparison.
 //! 2. **Inter-layer pass** — the Section 5.4 producer/consumer reuse
@@ -23,12 +22,11 @@ use crate::manager::{CandidateReport, ManagerConfig, PlanError};
 use crate::plan::{ExecutionPlan, LayerDecision, Scheme};
 use crate::{CancelToken, PlanScheme};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use smm_arch::AcceleratorConfig;
 use smm_model::{LayerShape, Network};
 use smm_policy::{estimate, PolicyEstimate, PolicyKind};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Memo key for one layer-selection problem. Two selections share a
@@ -499,10 +497,9 @@ impl Planner {
         best.ok_or_else(|| last_err.expect("at least one policy attempted"))
     }
 
-    /// Pass 1 — per-layer selection. Layers are independent, so the pass
-    /// fans out over rayon; the token is still checked per layer, so a
-    /// fired deadline aborts within one layer's planning time and
-    /// reports how many layers had completed.
+    /// Pass 1 — per-layer selection, in layer order. The token is checked
+    /// per layer, so a fired deadline aborts within one layer's planning
+    /// time and reports how many layers had completed.
     fn selection_pass(
         &self,
         net: &Network,
@@ -512,15 +509,12 @@ impl Planner {
         if cancel.is_cancelled() {
             return Err(PlanError::Cancelled { layers_done: 0 });
         }
-        let done = AtomicUsize::new(0);
         net.layers
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(i, layer)| {
                 if cancel.is_cancelled() {
-                    return Err(PlanError::Cancelled {
-                        layers_done: done.load(Ordering::Relaxed),
-                    });
+                    return Err(PlanError::Cancelled { layers_done: i });
                 }
                 let _layer_span = smm_obs::span!("plan.layer", "{}", layer.name);
                 let est = match constraint {
@@ -534,7 +528,6 @@ impl Planner {
                 if constraint.is_none() {
                     smm_obs::add(smm_obs::Counter::PlannerLayersPlanned, 1);
                 }
-                done.fetch_add(1, Ordering::Relaxed);
                 Ok(LayerDecision::new(i, layer.name.clone(), est))
             })
             .collect()

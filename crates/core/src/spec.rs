@@ -13,7 +13,6 @@ use crate::manager::{ManagerConfig, PlanError};
 use crate::plan::ExecutionPlan;
 use crate::planner::Planner;
 use crate::CancelToken;
-use serde::{Deserialize, Serialize};
 use smm_arch::AcceleratorConfig;
 use smm_model::{topology, zoo, Network};
 
@@ -21,7 +20,7 @@ use smm_model::{topology, zoo, Network};
 /// topology in the CSV format of [`smm_model::topology`]. Both forms
 /// are plain data, so a spec can travel through config files and the
 /// serve protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NetworkRef {
     /// A bundled model, looked up via [`zoo::by_name`]
     /// (case-insensitive).
@@ -65,7 +64,7 @@ impl NetworkRef {
 /// A complete, serializable planning job: network reference,
 /// accelerator, manager knobs, scheme, and batch size. See the module
 /// docs for how the entry points use it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanSpec {
     pub network: NetworkRef,
     pub accelerator: AcceleratorConfig,

@@ -1,8 +1,7 @@
-//! Rayon-parallel experiment matrices.
+//! Experiment matrices.
 //!
 //! The paper's figures sweep 6 models × 5 buffer sizes × several schemes.
-//! Each cell is independent, so the sweep is an embarrassingly parallel
-//! map — exactly the shape Rayon's parallel iterators are built for.
+//! Each cell is an independent [`PlanSpec`], planned in input order.
 
 use crate::{CancelToken, ExecutionPlan, ManagerConfig, NetworkRef, PlanError, PlanSpec, Planner};
 use smm_arch::{AcceleratorConfig, ByteSize};
@@ -22,11 +21,10 @@ pub struct PlanCell {
 /// [`PlanSpec`] evaluated through the shared [`Planner`] pipeline.
 pub use crate::cache::PlanScheme as SweepScheme;
 
-/// Evaluate `networks × glb_kbs` in parallel with one manager
-/// configuration, returning cells in deterministic
-/// (network-major, size-minor) order. Each cell is described by a
-/// [`PlanSpec`] derived from the matrix coordinates and planned through
-/// the pass-based [`Planner`].
+/// Evaluate `networks × glb_kbs` with one manager configuration,
+/// returning cells in deterministic (network-major, size-minor)
+/// order. Each cell is described by a [`PlanSpec`] derived from the
+/// matrix coordinates and planned through the pass-based [`Planner`].
 pub fn plan_matrix(
     base: AcceleratorConfig,
     cfg: ManagerConfig,
@@ -52,11 +50,10 @@ pub fn plan_matrix(
     sweep_cells(&specs)
 }
 
-/// Plan a batch of independent cell specs in parallel, in input order.
+/// Plan a batch of independent cell specs, in input order.
 pub(crate) fn sweep_cells(specs: &[PlanSpec]) -> Result<Vec<PlanCell>, PlanError> {
-    use rayon::prelude::*;
     specs
-        .par_iter()
+        .iter()
         .map(|spec| {
             let kb = spec.accelerator.glb.bytes() / 1024;
             let _cell_span = smm_obs::span!("sweep.cell", "{}@{}kB", spec.network.name(), kb);
@@ -120,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn matrix_cells_match_the_manager_facade() {
         let nets = vec![zoo::mnasnet()];
         let cfg = ManagerConfig::new(Objective::Accesses);
         let cells =

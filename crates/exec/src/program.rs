@@ -4,14 +4,12 @@
 //! source DL compiler such as TVM". The artifact such an integration
 //! needs is exactly what the replay engine already performs: an ordered
 //! stream of DMA commands. This module records that stream — a concrete,
-//! inspectable lowering of a policy decision — and can encode it as a
-//! compact binary trace.
+//! inspectable lowering of a policy decision.
 
 use crate::engine::{ExecError, Replay};
 use crate::run::replay_recorded;
 use smm_model::LayerShape;
 use smm_policy::PolicyEstimate;
-use smm_trace::{TraceRecord, TraceWriter};
 use std::fmt;
 use std::ops::Range;
 
@@ -168,63 +166,6 @@ impl Program {
         }
         out
     }
-
-    /// Encode the DRAM-touching commands as a binary trace (one record
-    /// per command, sequence number as the cycle stamp).
-    ///
-    /// # Panics
-    /// If a command's range is inverted or spans more than `u32::MAX`
-    /// rows/filters (it cannot fit a trace record) — the panic names the
-    /// offending command index instead of silently wrapping the count.
-    pub fn encode_trace(&self) -> bytes::Bytes {
-        // Checked width of `r`, anchored to command `i`: an inverted or
-        // absurdly wide range in a corrupt stream must not wrap into a
-        // small, plausible-looking record count.
-        fn span(i: usize, r: &Range<u64>) -> u32 {
-            r.end
-                .checked_sub(r.start)
-                .and_then(|n| u32::try_from(n).ok())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "command {i}: range {}..{} does not fit a u32 trace record",
-                        r.start, r.end
-                    )
-                })
-        }
-        let mut w = TraceWriter::new();
-        for (i, c) in self.commands.iter().enumerate() {
-            if !c.touches_dram() {
-                continue;
-            }
-            let (addr, count, is_read) = match c {
-                Command::FillIfmapRows { channel, rows }
-                | Command::StreamIfmapRows { channel, rows } => {
-                    (channel << 32 | rows.start, span(i, rows), true)
-                }
-                Command::FillFilters { filters } | Command::StreamFilters { filters } => {
-                    (1 << 48 | filters.start, span(i, filters), true)
-                }
-                Command::FillFilterChannel { filter, channel }
-                | Command::StreamFilterChannel { filter, channel } => {
-                    (1 << 48 | filter << 16 | channel, 1, true)
-                }
-                Command::StoreOfmapRows { channel, rows } => {
-                    (2 << 48 | channel << 32 | rows.start, span(i, rows), false)
-                }
-                Command::ReloadPsumRows { channel, rows } => {
-                    (2 << 48 | channel << 32 | rows.start, span(i, rows), true)
-                }
-                _ => unreachable!("touches_dram filtered the rest"),
-            };
-            w.push(TraceRecord {
-                cycle: i as u64,
-                addr,
-                count,
-                is_read,
-            });
-        }
-        w.finish()
-    }
 }
 
 #[cfg(test)]
@@ -320,43 +261,6 @@ mod tests {
             .filter(|c| matches!(c, Command::EvictIfmapRows { .. }))
             .count();
         assert!(evicts > 4, "a sliding window evicts as it goes: {evicts}");
-    }
-
-    #[test]
-    fn binary_trace_round_trips() {
-        let e = est(PolicyKind::IntraLayer);
-        let p = Program::lower(&small_layer(), &e).unwrap();
-        let encoded = p.encode_trace();
-        let decoded = TraceWriter::decode(&encoded).unwrap();
-        let dram_cmds = p.commands.iter().filter(|c| c.touches_dram()).count();
-        assert_eq!(decoded.len(), dram_cmds);
-        assert!(decoded.iter().any(|r| !r.is_read), "stores present");
-    }
-
-    #[test]
-    // The inverted range below is the corruption under test.
-    #[allow(clippy::reversed_empty_ranges)]
-    fn encode_trace_names_the_command_that_cannot_fit_a_record() {
-        let e = est(PolicyKind::IntraLayer);
-        let mut p = Program::lower(&small_layer(), &e).unwrap();
-        // A u64::MAX-adjacent width (and, below, an inverted range) must
-        // panic with the command index, not wrap into a small count.
-        p.commands[0] = Command::FillIfmapRows {
-            channel: 0,
-            rows: 0..u64::MAX - 1,
-        };
-        let err = std::panic::catch_unwind(move || p.encode_trace()).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("command 0"), "{msg}");
-        assert!(msg.contains("does not fit"), "{msg}");
-
-        let e = est(PolicyKind::IntraLayer);
-        let mut p = Program::lower(&small_layer(), &e).unwrap();
-        p.commands[1] = Command::StoreOfmapRows {
-            channel: 0,
-            rows: 5..2,
-        };
-        assert!(std::panic::catch_unwind(move || p.encode_trace()).is_err());
     }
 
     #[test]

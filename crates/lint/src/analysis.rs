@@ -488,11 +488,10 @@ pub fn lint_program(program: &Program, shape: &LayerShape, est: &PolicyEstimate)
     }
 }
 
-/// Lower every layer of `plan` and lint the resulting command streams
-/// (rayon-parallel per layer, diagnostics in deterministic layer
-/// order). Emits the `lint.*` counters through `smm-obs`.
+/// Lower every layer of `plan` and lint the resulting command streams,
+/// one layer at a time in layer order. Emits the `lint.*` counters
+/// through `smm-obs`.
 pub fn lint_plan(plan: &ExecutionPlan, net: &Network) -> Result<LintReport, LintError> {
-    use rayon::prelude::*;
     if plan.decisions.len() != net.layers.len() {
         return Err(LintError::PlanMismatch {
             message: format!(
@@ -506,8 +505,8 @@ pub fn lint_plan(plan: &ExecutionPlan, net: &Network) -> Result<LintReport, Lint
     let _span = smm_obs::span!("lint.plan", "{}", plan.network);
     let layers: Vec<LayerLint> = plan
         .decisions
-        .par_iter()
-        .zip(net.layers.par_iter())
+        .iter()
+        .zip(&net.layers)
         .map(|(d, layer)| {
             let program =
                 Program::lower(&layer.shape, &d.estimate).map_err(|e| LintError::Lower {

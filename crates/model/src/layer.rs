@@ -1,8 +1,7 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The layer categories of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Standard convolution (CV).
     Conv,
@@ -106,7 +105,7 @@ impl std::error::Error for ShapeError {}
 /// `O_H`, `O_W`, and `C_O` are derived, not stored:
 /// `O = (I + 2P − F) / S + 1` per spatial dimension, and
 /// `C_O = F#` (for depth-wise layers `C_O = C_I = F#`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerShape {
     /// `I_H`: ifmap height.
     pub ifmap_h: u32,
@@ -299,7 +298,7 @@ impl LayerShape {
 }
 
 /// A named layer of a network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layer {
     /// Human-readable name, unique within a network.
     pub name: String,

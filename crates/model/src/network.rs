@@ -1,11 +1,10 @@
 use crate::{Layer, LayerKind, ShapeError};
-use serde::{Deserialize, Serialize};
 use smm_arch::{ByteSize, DataWidth};
 use std::collections::BTreeSet;
 
 /// Per-layer memory footprint broken into the three data types, the
 /// breakdown plotted in Figure 3 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerFootprint {
     /// Padded ifmap bytes.
     pub ifmap: ByteSize,
@@ -24,7 +23,7 @@ impl LayerFootprint {
 }
 
 /// Aggregate statistics over a network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Number of layers.
     pub layers: usize,
@@ -42,7 +41,7 @@ pub struct NetworkStats {
 /// Residual/branch connections are serialized into a flat layer list, in
 /// accordance with the paper's baseline execution model ("the residual
 /// connections present in some CNNs are serialized", Section 4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Network {
     /// Model name (e.g. "ResNet18").
     pub name: String,

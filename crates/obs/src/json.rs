@@ -48,6 +48,14 @@ impl Value {
             _ => None,
         }
     }
+
+    /// A boolean's value; `None` for anything else.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
 }
 
 /// A parse failure: byte offset plus message.
@@ -331,6 +339,10 @@ mod tests {
         assert_eq!(v.get("s").and_then(Value::as_str), Some("x"));
         assert_eq!(v.get("n").and_then(Value::as_str), None);
         assert_eq!(v.get("b").and_then(Value::as_str), None);
+        assert_eq!(v.get("b").and_then(Value::as_bool), Some(true));
+        assert_eq!(parse("false").unwrap().as_bool(), Some(false));
+        assert_eq!(v.get("s").and_then(Value::as_bool), None);
+        assert_eq!(v.get("n").and_then(Value::as_bool), None);
         assert_eq!(parse("1e300").unwrap().as_u64(), Some(u64::MAX));
     }
 

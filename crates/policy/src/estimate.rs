@@ -1,10 +1,9 @@
 use crate::{FallbackTiling, PolicyKind};
-use serde::{Deserialize, Serialize};
 use smm_arch::{AcceleratorConfig, ByteSize};
 
 /// A per-data-type footprint in **elements** (the unit Algorithm 1's
 /// estimators reason in; bytes are derived via the data width).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Footprint {
     /// Resident ifmap elements.
     pub ifmap: u64,
@@ -38,7 +37,7 @@ impl Footprint {
 }
 
 /// Off-chip traffic in elements, broken down by data type and cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessCounts {
     /// Ifmap elements read from off-chip (padded ifmap × reload factor).
     pub ifmap_loads: u64,
@@ -70,7 +69,7 @@ impl AccessCounts {
 }
 
 /// The latency estimator's output for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencyEstimate {
     /// Cycles the PE array needs for the layer's MACs.
     pub compute_cycles: u64,
@@ -84,7 +83,7 @@ pub struct LatencyEstimate {
 
 /// The full output of Algorithm 1's three estimators for one
 /// (layer, policy, prefetch) combination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyEstimate {
     /// Which policy this estimate describes.
     pub kind: PolicyKind,

@@ -9,12 +9,11 @@
 //! spilling.
 
 use crate::estimate::{AccessCounts, Footprint};
-use serde::{Deserialize, Serialize};
 use smm_model::LayerShape;
 
 /// Loop order of the fallback schedule (filter blocks are always the
 /// outermost loop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopOrder {
     /// `filters → rows → channels`: the ofmap tile stays resident while
     /// channels accumulate (no partial-sum spill), but a filter block
@@ -26,7 +25,7 @@ pub enum LoopOrder {
 }
 
 /// A concrete fallback blocking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FallbackTiling {
     /// Output rows per tile.
     pub row_block: u64,

@@ -1,9 +1,8 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The memory-management policies of Section 3.2, plus the generic tiled
 /// fallback Algorithm 1 reaches for when no named policy fits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PolicyKind {
     /// Whole layer on-chip; every element moves on/off chip exactly once.
     IntraLayer,

@@ -35,6 +35,7 @@
 
 use crate::epoll::{Interest, Poller};
 use crate::frame::{LineFramer, WriteBuf};
+use smm_obs::json::Value;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
@@ -540,9 +541,7 @@ fn classify(line: &str, reference_plan: &mut Option<String>, tally: &mut Tally, 
         tally.per_cell[slot].errors += 1;
         return;
     };
-    let status = if let Some(smm_obs::json::Value::String(s)) = v.get("status") {
-        s.as_str()
-    } else {
+    let Some(status) = v.get("status").and_then(Value::as_str) else {
         tally.errors += 1;
         tally.per_cell[slot].errors += 1;
         return;
@@ -550,7 +549,7 @@ fn classify(line: &str, reference_plan: &mut Option<String>, tally: &mut Tally, 
     match status {
         "ok" => {
             tally.ok += 1;
-            let hit = matches!(v.get("cache_hit"), Some(smm_obs::json::Value::Bool(true)));
+            let hit = v.get("cache_hit").and_then(Value::as_bool) == Some(true);
             if hit {
                 tally.cache_hits += 1;
             }
@@ -559,8 +558,8 @@ fn classify(line: &str, reference_plan: &mut Option<String>, tally: &mut Tally, 
             // Aggregation of the router's attribution tag: this, not
             // any one server's CacheStats, is what the fleet-wide hit
             // rate and skew are computed from.
-            if let Some(smm_obs::json::Value::String(node)) = v.get("node") {
-                let entry = tally.per_node.entry(node.clone()).or_insert((0, 0));
+            if let Some(node) = v.get("node").and_then(Value::as_str) {
+                let entry = tally.per_node.entry(node.to_string()).or_insert((0, 0));
                 entry.0 += 1;
                 entry.1 += u64::from(hit);
             }
@@ -604,9 +603,7 @@ fn fetch_server_stats(addr: &str) -> Option<ServerStats> {
     let mut line = String::new();
     reader.read_line(&mut line).ok()?;
     let v = smm_obs::json::parse(line.trim()).ok()?;
-    let num = |v: &smm_obs::json::Value, k: &str| {
-        v.get(k).and_then(smm_obs::json::Value::as_u64).unwrap_or(0)
-    };
+    let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
     let memo = v.get("memo")?;
     Some(ServerStats {
         shed: num(&v, "shed"),

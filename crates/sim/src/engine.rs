@@ -88,9 +88,6 @@ pub struct LayerStats {
     /// Commands after which occupancy exceeded GLB capacity (always 0
     /// for a plan the planner accepted).
     pub occupancy_violations: u64,
-    /// Simulated start cycle of each command, parallel to the
-    /// program's command stream (feeds the timed binary trace).
-    pub cmd_starts: Vec<u64>,
 }
 
 /// What a command means to the memory system.
@@ -222,7 +219,6 @@ pub(crate) fn simulate_commands(
         events: program.commands.len() as u64,
         peak_occupancy_elems: 0,
         occupancy_violations: 0,
-        cmd_starts: Vec::with_capacity(program.commands.len()),
     };
 
     for (i, (cmd, meta)) in program.commands.iter().zip(&program.meta).enumerate() {
@@ -328,7 +324,6 @@ pub(crate) fn simulate_commands(
         if occupancy > capacity {
             stats.occupancy_violations += 1;
         }
-        stats.cmd_starts.push(start_tick / ticks_per_cycle);
     }
 
     // The layer ends when compute, the read stream, and the write

@@ -52,7 +52,7 @@ mod engine;
 mod report;
 
 pub use engine::LayerStats;
-pub use report::{report_json, timed_trace, LayerSimReport, SimReport, SimTotals};
+pub use report::{report_json, LayerSimReport, SimReport, SimTotals};
 
 use smm_arch::AcceleratorConfig;
 use smm_core::ExecutionPlan;
@@ -429,32 +429,5 @@ mod tests {
         .unwrap();
         assert!(shared.totals.cycles > alone.totals.cycles);
         assert_eq!(shared.totals.traffic, alone.totals.traffic);
-    }
-
-    #[test]
-    fn timed_trace_stamps_simulated_cycles() {
-        let net = zoo::resnet18();
-        let layer = &net.layers[0];
-        let a = acc(256);
-        let plan = plan_for(&net, a);
-        let d = &plan.decisions[0];
-        let program = Program::lower(&layer.shape, &d.estimate).unwrap();
-        let stats = simulate_program(
-            &program,
-            &layer.shape,
-            &d.estimate,
-            &a,
-            &SimConfig::default(),
-        )
-        .unwrap();
-        let trace = timed_trace(&program, &stats, 1_000);
-        let records = smm_trace::TraceWriter::decode(&trace).unwrap();
-        let dram_cmds = program.commands.iter().filter(|c| c.touches_dram()).count();
-        assert_eq!(records.len(), dram_cmds);
-        assert!(records.iter().all(|r| r.cycle >= 1_000));
-        assert!(
-            records.iter().any(|r| r.cycle > 1_000),
-            "later commands start at later simulated cycles"
-        );
     }
 }

@@ -1,15 +1,12 @@
 //! Simulation reports: per-layer and network-level results, the
-//! deterministic JSON emitter, and the timed binary trace.
+//! deterministic JSON emitter.
 
 use crate::engine::LayerStats;
 use crate::SimConfig;
-use bytes::Bytes;
 use smm_arch::{AcceleratorConfig, ByteSize};
 use smm_core::report::json_escape;
 use smm_core::ExecutionPlan;
-use smm_exec::Program;
 use smm_policy::{AccessCounts, PolicyKind};
-use smm_trace::{TraceRecord, TraceWriter};
 
 /// One layer's simulation outcome next to its analytic claim.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,20 +213,4 @@ pub fn report_json(report: &SimReport) -> String {
         t.occupancy_violations
     );
     out
-}
-
-/// Encode a layer's DRAM-touching commands as a binary trace stamped
-/// with *simulated* start cycles (shifted by `offset_cycles`, the
-/// network-level cycle at which the layer begins) instead of the
-/// sequence numbers [`Program::encode_trace`] uses.
-pub fn timed_trace(program: &Program, stats: &LayerStats, offset_cycles: u64) -> Bytes {
-    let base = TraceWriter::decode(&program.encode_trace()).expect("own encoding round-trips");
-    let mut w = TraceWriter::new();
-    for r in base {
-        // `encode_trace` stamps each record with its command index, so
-        // the index recovers the simulated start of that command.
-        let start = stats.cmd_starts[r.cycle as usize];
-        w.push_at(offset_cycles, TraceRecord { cycle: start, ..r });
-    }
-    w.finish()
 }

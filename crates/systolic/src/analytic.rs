@@ -11,12 +11,11 @@
 use crate::buffers::BaselineConfig;
 use crate::compute::compute_cycles;
 use crate::gemm::{FoldPlan, GemmShape};
-use serde::{Deserialize, Serialize};
 use smm_arch::ByteSize;
 use smm_model::{LayerShape, Network};
 
 /// Which schedule the per-layer best case picked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopOrderChoice {
     /// Row folds outer: the ifmap slides once, filter blocks re-stream.
     RowsOuter,
@@ -27,7 +26,7 @@ pub enum LoopOrderChoice {
 }
 
 /// How the ifmap is fetched under the chosen schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IfmapMode {
     /// Every demanded element once (slides or fully resident).
     Once,
@@ -38,7 +37,7 @@ pub enum IfmapMode {
 }
 
 /// How filters are fetched under the chosen schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterMode {
     /// Every filter element once.
     Once,
@@ -56,7 +55,7 @@ pub struct LayerPlan {
 }
 
 /// Baseline result for one layer (traffic in elements).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerSim {
     pub ifmap_loads: u64,
     pub filter_loads: u64,
@@ -73,7 +72,7 @@ impl LayerSim {
 }
 
 /// Whole-network baseline report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineReport {
     pub layers: Vec<LayerSim>,
     /// Total off-chip elements.

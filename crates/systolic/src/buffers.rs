@@ -1,11 +1,10 @@
 //! The baseline's fixed buffer partitions (Section 4 of the paper).
 
-use serde::{Deserialize, Serialize};
 use smm_arch::{AcceleratorConfig, ByteSize};
 
 /// A fixed ifmap/filter split of the remaining buffer space (after the
 /// 4 kB ofmap buffer is carved out).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferSplit {
     /// Percentage of the split space assigned to the ifmap buffer.
     pub ifmap_pct: u32,
@@ -41,7 +40,7 @@ impl BufferSplit {
 
 /// The complete baseline accelerator configuration: the shared
 /// accelerator spec plus the static buffer partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BaselineConfig {
     pub acc: AcceleratorConfig,
     pub split: BufferSplit,

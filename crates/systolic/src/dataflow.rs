@@ -24,11 +24,10 @@ use crate::analytic::LayerSim;
 use crate::buffers::BaselineConfig;
 use crate::compute::fold_cycles;
 use crate::gemm::{FoldPlan, GemmShape};
-use serde::{Deserialize, Serialize};
 use smm_model::{LayerShape, Network};
 
 /// The mapping kept stationary in the PE array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dataflow {
     /// Output stationary — the paper's baseline configuration.
     OutputStationary,
@@ -57,7 +56,7 @@ impl Dataflow {
 
 /// Per-layer result of a WS/IS simulation (OS goes through
 /// [`crate::analytic::simulate_layer`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataflowSim {
     pub ifmap_loads: u64,
     pub filter_loads: u64,

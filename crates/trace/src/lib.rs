@@ -10,7 +10,6 @@
 //!   fill/evict, counting the DRAM traffic its misses cause.
 //! - [`DramCounter`] — thread-safe read/write accounting, convertible to
 //!   transfer cycles at a configured bandwidth.
-//! - [`TraceWriter`] — a binary trace emitter for offline inspection.
 //!
 //! # Example
 //!
@@ -28,9 +27,7 @@
 mod address;
 mod dram;
 mod scratchpad;
-mod writer;
 
 pub use address::{AddressMap, Region};
 pub use dram::DramCounter;
 pub use scratchpad::Scratchpad;
-pub use writer::{TraceRecord, TraceWriter};
