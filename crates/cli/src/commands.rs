@@ -636,7 +636,8 @@ fn lower_json(
         let _ = write!(
             out,
             "{{\"index\":{},\"text\":\"{}\",\"action\":\"{}\",\"operand\":\"{}\",\
-             \"start\":{},\"end\":{},\"claimed_dram\":{},\"derived_dram\":{},\
+             \"start\":{},\"end\":{},\"stride\":{},\"count\":{},\
+             \"claimed_dram\":{},\"derived_dram\":{},\
              \"claimed_resident_after\":{},\"derived_resident_after\":{},\
              \"redundant_elems\":{}}}",
             a.index,
@@ -645,6 +646,8 @@ fn lower_json(
             a.operand.label(),
             a.range.start,
             a.range.end,
+            a.stride,
+            a.count,
             a.claimed_dram,
             a.derived_dram,
             a.claimed_resident_after,

@@ -2,7 +2,7 @@
 //! attribution and peak-residency tracking.
 
 use crate::program::{Command, CommandMeta};
-use crate::resolver::AddressResolver;
+use crate::resolver::{AddressResolver, ResolvedCommand};
 use smm_model::LayerShape;
 use smm_policy::{AccessCounts, PolicyEstimate};
 use smm_trace::{DramCounter, Scratchpad};
@@ -257,40 +257,48 @@ impl Engine {
         self.note(0, false);
     }
 
-    /// Bring channel `c` of filter `f` on-chip.
-    pub fn fill_filter_channel(&mut self, f: u64, c: u64) -> Result<(), ExecError> {
-        self.push_cmd(Command::FillFilterChannel {
-            filter: f,
+    /// Bring channel `c` of every filter in `fs` on-chip: one command
+    /// for the strided block, charged run by run.
+    pub fn fill_filter_channel(&mut self, fs: Range<u64>, c: u64) -> Result<(), ExecError> {
+        if fs.is_empty() {
+            return Ok(());
+        }
+        let cmd = Command::FillFilterChannel {
+            filters: fs,
             channel: c,
-        });
-        let r = self.map.filter_channel(f, c);
-        let n = self.charged_fill(r)?;
+        };
+        let block = self.filter_block(&cmd);
+        self.push_cmd(cmd);
+        let mut n = 0;
+        for run in block.runs() {
+            n += self.charged_fill(run)?;
+        }
         self.replay.filter_loads += n;
         self.note(n, false);
         Ok(())
     }
 
-    /// Stream channel `c` of filter `f` through without residency.
-    pub fn stream_filter_channel(&mut self, f: u64, c: u64) {
-        self.push_cmd(Command::StreamFilterChannel {
-            filter: f,
+    /// Drop channel `c` of every filter in `fs`.
+    pub fn evict_filter_channel(&mut self, fs: Range<u64>, c: u64) {
+        if fs.is_empty() {
+            return;
+        }
+        let cmd = Command::EvictFilterChannel {
+            filters: fs,
             channel: c,
-        });
-        let r = self.map.filter_channel(f, c);
-        let n = r.end - r.start;
-        self.replay.filter_loads += n;
-        self.sp.stream(r);
-        self.note(n, false);
+        };
+        let block = self.filter_block(&cmd);
+        self.push_cmd(cmd);
+        for run in block.runs() {
+            self.sp.evict(run);
+        }
+        self.note(0, false);
     }
 
-    /// Drop channel `c` of filter `f`.
-    pub fn evict_filter_channel(&mut self, f: u64, c: u64) {
-        self.push_cmd(Command::EvictFilterChannel {
-            filter: f,
-            channel: c,
-        });
-        self.sp.evict(self.map.filter_channel(f, c));
-        self.note(0, false);
+    fn filter_block(&self, cmd: &Command) -> ResolvedCommand {
+        self.map
+            .resolve(0, cmd)
+            .expect("engine-generated filter-channel block resolves")
     }
 
     /// Allocate space for ofmap rows of one channel (produced on-chip).
@@ -421,13 +429,22 @@ mod tests {
     }
 
     #[test]
-    fn filter_channel_ranges_are_disjoint_per_filter() {
+    fn filter_channel_block_is_one_command_charged_per_run() {
         let s = shape();
-        let e = Engine::new(&s, 10_000);
-        let a = e.resolver().filter_channel(1, 0);
-        let b = e.resolver().filter_channel(1, 1);
-        assert_eq!(a.end, b.start);
-        assert_eq!(b.end - a.start, s.single_filter_elems());
+        let mut e = Engine::recording(&s, 10_000);
+        e.fill_filter_channel(0..4, 1).unwrap();
+        e.fill_filter_channel(1..3, 1).unwrap(); // already resident
+        e.fill_filter_channel(0..4, 0).unwrap();
+        assert_eq!(e.replay.filter_loads, 2 * 4 * 9);
+        // Both channels of every filter: the whole filter region.
+        assert_eq!(e.sp.resident_count(), 4 * s.single_filter_elems());
+        e.evict_filter_channel(0..4, 0);
+        assert_eq!(e.sp.resident_count(), 4 * 9);
+        let meta = e.take_meta();
+        assert_eq!(e.take_commands().len(), 4);
+        let dram: Vec<u64> = meta.iter().map(|m| m.dram_elems).collect();
+        assert_eq!(dram, [36, 0, 36, 0]);
+        assert_eq!(meta[2].resident_after, 72);
     }
 
     #[test]

@@ -28,12 +28,11 @@ pub enum Command {
     StreamFilters { filters: Range<u64> },
     /// Release whole filters.
     EvictFilters { filters: Range<u64> },
-    /// Fetch one channel slice of one filter.
-    FillFilterChannel { filter: u64, channel: u64 },
-    /// Stream one channel slice of one filter.
-    StreamFilterChannel { filter: u64, channel: u64 },
-    /// Release one channel slice of one filter.
-    EvictFilterChannel { filter: u64, channel: u64 },
+    /// Fetch channel `channel` of every filter in `filters`: a strided
+    /// block of `F_H·F_W`-element runs, one filter apart.
+    FillFilterChannel { filters: Range<u64>, channel: u64 },
+    /// Release channel `channel` of every filter in `filters`.
+    EvictFilterChannel { filters: Range<u64>, channel: u64 },
     /// Reserve GLB space for ofmap rows of one output channel.
     AllocOfmapRows { channel: u64, rows: Range<u64> },
     /// Write ofmap rows of one output channel off-chip.
@@ -105,14 +104,19 @@ impl fmt::Display for Command {
             Command::EvictFilters { filters } => {
                 write!(f, "evict  filter f{}..f{}", filters.start, filters.end)
             }
-            Command::FillFilterChannel { filter, channel } => {
-                write!(f, "fill   filter f{filter} ch {channel}")
+            Command::FillFilterChannel { filters, channel } => {
+                write!(
+                    f,
+                    "fill   filter f{}..f{} ch {channel}",
+                    filters.start, filters.end
+                )
             }
-            Command::StreamFilterChannel { filter, channel } => {
-                write!(f, "stream filter f{filter} ch {channel}")
-            }
-            Command::EvictFilterChannel { filter, channel } => {
-                write!(f, "evict  filter f{filter} ch {channel}")
+            Command::EvictFilterChannel { filters, channel } => {
+                write!(
+                    f,
+                    "evict  filter f{}..f{} ch {channel}",
+                    filters.start, filters.end
+                )
             }
             Command::AllocOfmapRows { channel, rows } => {
                 write!(
@@ -261,6 +265,22 @@ mod tests {
             .filter(|c| matches!(c, Command::EvictIfmapRows { .. }))
             .count();
         assert!(evicts > 4, "a sliding window evicts as it goes: {evicts}");
+    }
+
+    #[test]
+    fn a_command_stays_four_words() {
+        // Streams run to millions of commands; a filter-channel block
+        // carries its range without growing the enum.
+        assert_eq!(std::mem::size_of::<Command>(), 32);
+    }
+
+    #[test]
+    fn filter_channel_blocks_list_their_filter_range() {
+        let c = Command::FillFilterChannel {
+            filters: 0..1024,
+            channel: 3,
+        };
+        assert_eq!(c.to_string(), "fill   filter f0..f1024 ch 3");
     }
 
     #[test]

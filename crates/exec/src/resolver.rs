@@ -6,7 +6,7 @@
 //! to analyze a [`Program`](crate::Program) *without* replaying it. Both
 //! go through this one resolver so the two mappings cannot drift: a
 //! command resolves to one [`ResolvedCommand`] — an action class, an
-//! operand region, and an address range — or to a [`ResolveError`]
+//! operand region, and its address runs — or to a [`ResolveError`]
 //! anchored to the offending command.
 //!
 //! All width/element arithmetic here is overflow-checked (`rows ×
@@ -72,21 +72,48 @@ impl Operand {
     }
 }
 
-/// One command resolved to its flat element-address range.
+/// One command resolved to its flat element addresses: `count` runs of
+/// `range.end - range.start` elements, the first at `range` and each
+/// next one `stride` elements further on. Row and whole-filter commands
+/// are one contiguous run (`count` 1); a filter-channel command is a
+/// strided block, one run per filter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedCommand {
     /// Action class of the command.
     pub action: Action,
-    /// Operand region the range lies in.
+    /// Operand region the runs lie in.
     pub operand: Operand,
-    /// Flat element addresses the command touches.
+    /// The first run of flat element addresses.
     pub range: Range<u64>,
+    /// Distance between the starts of consecutive runs.
+    pub stride: u64,
+    /// Number of runs.
+    pub count: u64,
 }
 
 impl ResolvedCommand {
-    /// Elements in the resolved range.
+    fn contiguous(action: Action, operand: Operand, range: Range<u64>) -> Self {
+        let stride = range.end - range.start;
+        ResolvedCommand {
+            action,
+            operand,
+            range,
+            stride,
+            count: 1,
+        }
+    }
+
+    /// Elements over all runs.
     pub fn elems(&self) -> u64 {
-        self.range.end - self.range.start
+        (self.range.end - self.range.start) * self.count
+    }
+
+    /// The runs in address order.
+    pub fn runs(&self) -> impl DoubleEndedIterator<Item = Range<u64>> + '_ {
+        (0..self.count).map(|k| {
+            let offset = k * self.stride;
+            self.range.start + offset..self.range.end + offset
+        })
     }
 }
 
@@ -242,24 +269,37 @@ impl AddressResolver {
         Ok(start..add(start, width, "filter range end")?)
     }
 
-    fn checked_filter_channel(&self, f: u64, c: u64) -> Result<Range<u64>, ResolveError> {
-        if f >= self.num_f || c >= self.filt_chans {
+    /// Channel `c` of filters `fs`: one `F_H·F_W`-element run per
+    /// filter, `filt_per_f` apart.
+    fn checked_filter_channel(
+        &self,
+        action: Action,
+        fs: &Range<u64>,
+        c: u64,
+    ) -> Result<ResolvedCommand, ResolveError> {
+        if c >= self.filt_chans {
             return Err(ResolveError {
                 command: None,
-                message: format!(
-                    "filter channel (f{f}, c{c}) outside {} filters * {} channels",
-                    self.num_f, self.filt_chans
-                ),
+                message: format!("filter channel {c} >= {}", self.filt_chans),
             });
         }
         let per_channel = self.filt_per_f / self.filt_chans;
-        let base = self.checked_filters(&(f..f + 1))?.start;
+        let base = self.checked_filters(fs)?.start;
         let start = add(
             base,
             mul(c, per_channel, "filter channel offset")?,
             "filter channel",
         )?;
-        Ok(start..add(start, per_channel, "filter channel end")?)
+        // `fs.end <= num_f` and `c < filt_chans` keep every run inside
+        // the filter region, whose end `new` checked, so the later runs'
+        // addresses cannot overflow.
+        Ok(ResolvedCommand {
+            action,
+            operand: Operand::Filter,
+            range: start..add(start, per_channel, "filter channel end")?,
+            stride: self.filt_per_f,
+            count: fs.end - fs.start,
+        })
     }
 
     fn checked_ofmap_rows(&self, c: u64, rows: &Range<u64>) -> Result<Range<u64>, ResolveError> {
@@ -289,7 +329,7 @@ impl AddressResolver {
     }
 
     /// Resolve the command at stream position `index` into its action,
-    /// operand, and address range. Errors are anchored to `index`.
+    /// operand, and address runs. Errors are anchored to `index`.
     pub fn resolve(&self, index: usize, cmd: &Command) -> Result<ResolvedCommand, ResolveError> {
         let anchor = |mut e: ResolveError| {
             e.command = Some(index);
@@ -326,24 +366,16 @@ impl AddressResolver {
                 Operand::Filter,
                 self.checked_filters(filters).map_err(anchor)?,
             ),
-            Command::FillFilterChannel { filter, channel } => (
-                Action::Fill,
-                Operand::Filter,
-                self.checked_filter_channel(*filter, *channel)
-                    .map_err(anchor)?,
-            ),
-            Command::StreamFilterChannel { filter, channel } => (
-                Action::Stream,
-                Operand::Filter,
-                self.checked_filter_channel(*filter, *channel)
-                    .map_err(anchor)?,
-            ),
-            Command::EvictFilterChannel { filter, channel } => (
-                Action::Evict,
-                Operand::Filter,
-                self.checked_filter_channel(*filter, *channel)
-                    .map_err(anchor)?,
-            ),
+            Command::FillFilterChannel { filters, channel } => {
+                return self
+                    .checked_filter_channel(Action::Fill, filters, *channel)
+                    .map_err(anchor);
+            }
+            Command::EvictFilterChannel { filters, channel } => {
+                return self
+                    .checked_filter_channel(Action::Evict, filters, *channel)
+                    .map_err(anchor);
+            }
             Command::AllocOfmapRows { channel, rows } => (
                 Action::Alloc,
                 Operand::Ofmap,
@@ -360,11 +392,7 @@ impl AddressResolver {
                 self.checked_ofmap_rows(*channel, rows).map_err(anchor)?,
             ),
         };
-        Ok(ResolvedCommand {
-            action,
-            operand,
-            range,
-        })
+        Ok(ResolvedCommand::contiguous(action, operand, range))
     }
 
     /// Address range of padded-ifmap rows `rows` of channel `c`.
@@ -380,13 +408,6 @@ impl AddressResolver {
     pub fn filters(&self, fs: Range<u64>) -> Range<u64> {
         self.checked_filters(&fs)
             .expect("engine-generated filter range resolves")
-    }
-
-    /// Address range of channel `c` of filter `f` (`F_H·F_W` contiguous
-    /// elements — filters are stored filter-major, channel-minor).
-    pub fn filter_channel(&self, f: u64, c: u64) -> Range<u64> {
-        self.checked_filter_channel(f, c)
-            .expect("engine-generated filter-channel range resolves")
     }
 
     /// Address range of ofmap rows `rows` of output channel `c`.
@@ -465,7 +486,7 @@ mod tests {
             ),
             (
                 Command::EvictFilterChannel {
-                    filter: 1,
+                    filters: 1..3,
                     channel: 1,
                 },
                 Action::Evict,
@@ -520,8 +541,12 @@ mod tests {
             },
             Command::FillFilters { filters: 3..99 },
             Command::FillFilterChannel {
-                filter: 0,
+                filters: 0..1,
                 channel: 77,
+            },
+            Command::EvictFilterChannel {
+                filters: 2..5,
+                channel: 0,
             },
             Command::StoreOfmapRows {
                 channel: 0,
@@ -540,6 +565,40 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn filter_channel_blocks_are_strided_runs() {
+        let s = shape();
+        let r = AddressResolver::new(&s).unwrap();
+        let rc = r
+            .resolve(
+                0,
+                &Command::FillFilterChannel {
+                    filters: 1..4,
+                    channel: 1,
+                },
+            )
+            .unwrap();
+        let whole = r.filters(0..4);
+        let per_f = s.single_filter_elems();
+        assert_eq!((rc.stride, rc.count), (per_f, 3));
+        assert_eq!(rc.range, whole.start + per_f + 9..whole.start + per_f + 18);
+        let runs: Vec<_> = rc.runs().collect();
+        assert_eq!(runs.len(), 3);
+        assert_eq!(runs[2].end, whole.end);
+        assert_eq!(rc.elems(), 27);
+        let row = r
+            .resolve(
+                1,
+                &Command::FillIfmapRows {
+                    channel: 0,
+                    rows: 0..2,
+                },
+            )
+            .unwrap();
+        assert_eq!(row.count, 1);
+        assert_eq!(row.runs().collect::<Vec<_>>(), vec![row.range.clone()]);
     }
 
     #[test]

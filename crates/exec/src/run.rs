@@ -176,17 +176,13 @@ fn run(mut e: Engine, shape: &LayerShape, est: &PolicyEstimate) -> Result<RunOut
                 e.evict_filters(0..nf);
             } else {
                 for c in 0..ci {
-                    for f in 0..nf {
-                        e.fill_filter_channel(f, c)?;
-                    }
+                    e.fill_filter_channel(0..nf, c)?;
                     let mut slider = Slider::single(pad_h);
                     for oy in 0..oh {
                         slider.advance(&mut e, 0, c, window(shape, oy))?;
                     }
                     slider.finish(&mut e, 0, c);
-                    for f in 0..nf {
-                        e.evict_filter_channel(f, c);
-                    }
+                    e.evict_filter_channel(0..nf, c);
                 }
             }
             for f in 0..shape.out_channels() as u64 {
@@ -242,27 +238,23 @@ fn run(mut e: Engine, shape: &LayerShape, est: &PolicyEstimate) -> Result<RunOut
                 }
                 if shape.depthwise {
                     for c in fs.clone() {
-                        e.fill_filter_channel(c, 0)?;
+                        e.fill_filter_channel(c..c + 1, 0)?;
                         let mut slider = Slider::single(pad_h);
                         for oy in 0..oh {
                             slider.advance(&mut e, 0, c, window(shape, oy))?;
                         }
                         slider.finish(&mut e, 0, c);
-                        e.evict_filter_channel(c, 0);
+                        e.evict_filter_channel(c..c + 1, 0);
                     }
                 } else {
                     for c in 0..ci {
-                        for f in fs.clone() {
-                            e.fill_filter_channel(f, c)?;
-                        }
+                        e.fill_filter_channel(fs.clone(), c)?;
                         let mut slider = Slider::single(pad_h);
                         for oy in 0..oh {
                             slider.advance(&mut e, 0, c, window(shape, oy))?;
                         }
                         slider.finish(&mut e, 0, c);
-                        for f in fs.clone() {
-                            e.evict_filter_channel(f, c);
-                        }
+                        e.evict_filter_channel(fs.clone(), c);
                     }
                 }
                 for f in fs.clone() {
@@ -380,10 +372,8 @@ fn replay_fallback(
                 let fs = fb * t.filter_block..((fb + 1) * t.filter_block).min(nf);
                 for cb in 0..n_cb {
                     let cs = cb * t.channel_block..((cb + 1) * t.channel_block).min(ci);
-                    for f in fs.clone() {
-                        for c in cs.clone() {
-                            e.fill_filter_channel(f, c)?;
-                        }
+                    for c in cs.clone() {
+                        e.fill_filter_channel(fs.clone(), c)?;
                     }
                     for rt in 0..n_rt {
                         e.evict_ifmap_all();
@@ -406,10 +396,8 @@ fn replay_fallback(
                         }
                     }
                     e.evict_ifmap_all();
-                    for f in fs.clone() {
-                        for c in cs.clone() {
-                            e.evict_filter_channel(f, c);
-                        }
+                    for c in cs.clone() {
+                        e.evict_filter_channel(fs.clone(), c);
                     }
                 }
             }
@@ -504,6 +492,39 @@ mod tests {
         let s = conv(1, 256, 1, 100, 1, false);
         for kind in PolicyKind::NAMED {
             check(&s, kind, 64);
+        }
+    }
+
+    #[test]
+    fn per_channel_passes_emit_one_filter_fill_and_one_evict() {
+        use crate::program::Command;
+        let s = conv(14, 32, 3, 48, 1, false);
+        for (kind, kb) in [
+            (PolicyKind::P3PerChannel, 256),
+            (PolicyKind::P5PartialPerChannel, 32),
+        ] {
+            let est = estimate(kind, &s, &acc(kb), false).unwrap();
+            let blocks = est.block_n.map_or(1, |n| 48u64.div_ceil(n));
+            if kind == PolicyKind::P5PartialPerChannel {
+                assert!(blocks > 1, "{kind:?} should split the filters");
+            }
+            let p = crate::Program::lower(&s, &est).unwrap();
+            assert!(p.replay.matches(&est), "{kind:?}");
+            let filter_cmds = p
+                .commands
+                .iter()
+                .filter(|c| {
+                    matches!(
+                        c,
+                        Command::FillFilters { .. }
+                            | Command::StreamFilters { .. }
+                            | Command::EvictFilters { .. }
+                            | Command::FillFilterChannel { .. }
+                            | Command::EvictFilterChannel { .. }
+                    )
+                })
+                .count() as u64;
+            assert_eq!(filter_cmds, 2 * blocks * 32, "{kind:?}");
         }
     }
 

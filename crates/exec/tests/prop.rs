@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use smm_arch::{AcceleratorConfig, ByteSize};
-use smm_exec::replay;
+use smm_exec::{replay, AddressResolver, Command};
 use smm_model::LayerShape;
 use smm_policy::{estimate, PolicyKind};
 
@@ -68,5 +68,57 @@ proptest! {
                 prop_assert!(r.matches(&pf), "{:?}", kind);
             }
         }
+    }
+
+    /// A filter-channel block resolves to strided runs whose elements
+    /// are exactly the per-element filter layout
+    /// `filter_base + f·filt_per_f + c·F_H·F_W + k`; out-of-range,
+    /// inverted or `u64::MAX`-edge blocks resolve to an anchored error.
+    #[test]
+    fn filter_channel_blocks_expand_to_the_per_element_layout(
+        shape in arb_shape(),
+        a in 0u64..12,
+        b in 0u64..12,
+        channel in 0u64..8,
+        fill in any::<bool>(),
+        huge in any::<u64>(),
+    ) {
+        let r = AddressResolver::new(&shape).unwrap();
+        let nf = u64::from(shape.num_filters);
+        let chans = shape.filter_channels();
+        let k_len = u64::from(shape.filter_h) * u64::from(shape.filter_w);
+        let per_f = shape.single_filter_elems();
+        let base = r.filter_region().start;
+        let block = |filters: std::ops::Range<u64>, channel: u64| {
+            if fill {
+                Command::FillFilterChannel { filters, channel }
+            } else {
+                Command::EvictFilterChannel { filters, channel }
+            }
+        };
+        let filters = a.min(b)..a.max(b);
+        match r.resolve(7, &block(filters.clone(), channel)) {
+            Ok(rc) => {
+                prop_assert!(filters.end <= nf && channel < chans);
+                let got: Vec<u64> = rc.runs().flatten().collect();
+                let want: Vec<u64> = filters
+                    .clone()
+                    .flat_map(|f| (0..k_len).map(move |k| base + f * per_f + channel * k_len + k))
+                    .collect();
+                prop_assert_eq!(rc.elems(), want.len() as u64);
+                prop_assert_eq!(got, want);
+            }
+            Err(e) => {
+                prop_assert!(filters.end > nf || channel >= chans, "{}", e);
+                prop_assert_eq!(e.command, Some(7));
+            }
+        }
+        // Inverted and u64-edge blocks never resolve, and never panic.
+        if a != b {
+            let inverted = a.max(b)..a.min(b);
+            prop_assert!(r.resolve(1, &block(inverted, 0)).is_err());
+        }
+        prop_assert!(r.resolve(2, &block(huge.max(1)..u64::MAX, 0)).is_err());
+        prop_assert!(r.resolve(3, &block(0..1, huge.max(chans))).is_err());
     }
 }

@@ -304,10 +304,12 @@ fn join_migrates_warm_plans_and_leave_drains_them() {
     let models = ["mobilenet", "mobilenetv2", "mnasnet", "resnet18"];
     let mut golden = Vec::new();
     for model in &models {
-        let line = format!("{{\"model\":\"{model}\",\"glb_kb\":64}}");
-        let resp = request(&raddr, &line);
-        assert!(resp.contains("\"status\":\"ok\""), "warmup failed: {resp}");
-        golden.push((line, plan_payload(&resp).to_string()));
+        for glb_kb in [32, 64, 128, 256, 512, 1024] {
+            let line = format!("{{\"model\":\"{model}\",\"glb_kb\":{glb_kb}}}");
+            let resp = request(&raddr, &line);
+            assert!(resp.contains("\"status\":\"ok\""), "warmup failed: {resp}");
+            golden.push((line, plan_payload(&resp).to_string()));
+        }
     }
 
     // Join a third node: the keys it now owns must arrive pre-warmed.
@@ -326,8 +328,10 @@ fn join_migrates_warm_plans_and_leave_drains_them() {
         );
         assert_eq!(plan_payload(&resp), reference, "plan changed across join");
     }
-    // The joiner owns ~1/3 of 4 keys in expectation; with this fixed
-    // key set the deterministic ring gives it at least one.
+    // The nodes listen on ephemeral ports, so ring ownership changes
+    // from run to run. The joiner owns ~1/3 of the key space: with 24
+    // keys it owns none with probability ~(2/3)^24 < 1e-4 (with 4
+    // keys, ~20 %).
     assert!(
         plans > 0 && bytes > 0,
         "nothing migrated on join ({plans} plans, {bytes} bytes)"

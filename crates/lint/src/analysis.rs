@@ -56,8 +56,12 @@ pub struct CommandAnnotation {
     pub action: Action,
     /// Operand region.
     pub operand: Operand,
-    /// Resolved flat element range.
+    /// First run of the resolved flat element addresses.
     pub range: Range<u64>,
+    /// Distance between the starts of consecutive runs.
+    pub stride: u64,
+    /// Number of runs (1 unless the command is a filter-channel block).
+    pub count: u64,
     /// DRAM elements the recorded metadata claims the command moved.
     pub claimed_dram: u64,
     /// DRAM elements the dataflow says the command must move.
@@ -78,7 +82,8 @@ pub struct ProgramLint {
     /// plus a count), in code order. Layer fields are unset;
     /// [`lint_plan`] tags them.
     pub diagnostics: Vec<Diagnostic>,
-    /// One annotation per resolvable command, in stream order.
+    /// One annotation per resolvable command, in stream order. Empty in
+    /// the layers of a [`lint_plan`] report.
     pub annotations: Vec<CommandAnnotation>,
     /// Derived peak GLB occupancy (elements).
     pub derived_peak: u64,
@@ -180,8 +185,20 @@ fn required_input_rows(shape: &LayerShape, out_rows: &Range<u64>) -> Range<u64> 
 /// the policy estimate it was lowered from. Never fails: unresolvable
 /// commands and malformed metadata surface as SMM014 diagnostics.
 pub fn lint_program(program: &Program, shape: &LayerShape, est: &PolicyEstimate) -> ProgramLint {
+    analyze(program, shape, est, true)
+}
+
+/// [`lint_program`], building the per-command annotations only when
+/// `annotate` is set: `lint_plan` keeps none, since one per command
+/// over a whole plan would set the verifier's memory peak.
+fn analyze(
+    program: &Program,
+    shape: &LayerShape,
+    est: &PolicyEstimate,
+    annotate: bool,
+) -> ProgramLint {
     let mut findings = Findings::default();
-    let mut annotations = Vec::with_capacity(program.commands.len());
+    let mut annotations = Vec::with_capacity(if annotate { program.commands.len() } else { 0 });
     let lint = |findings: Findings| ProgramLint {
         diagnostics: findings.into_diagnostics(),
         annotations: Vec::new(),
@@ -259,7 +276,7 @@ pub fn lint_program(program: &Program, shape: &LayerShape, est: &PolicyEstimate)
         let mut redundant = 0u64;
         match rc.action {
             Action::Fill | Action::Reload => {
-                derived_dram = res.missing(&rc.range);
+                derived_dram = rc.runs().map(|r| res.missing(&r)).sum();
                 if claimed > derived_dram {
                     // The stream claims to move bytes that are provably
                     // already resident: a refetch, reclaimable traffic.
@@ -294,13 +311,18 @@ pub fn lint_program(program: &Program, shape: &LayerShape, est: &PolicyEstimate)
                     }
                     Operand::Filter => {
                         filter_loads += derived_dram;
-                        delivered_filter.insert(&rc.range);
+                        for run in rc.runs() {
+                            delivered_filter.insert(&run);
+                        }
                     }
                     Operand::Ofmap => ofmap_reads += derived_dram,
                 }
-                res.insert(&rc.range);
+                for run in rc.runs() {
+                    res.insert(&run);
+                }
             }
             Action::Stream => {
+                // Streams are row and whole-filter commands: one run.
                 derived_dram = rc.elems();
                 let resident_overlap = res.intersect_len(&rc.range);
                 if resident_overlap > 0 {
@@ -344,7 +366,11 @@ pub fn lint_program(program: &Program, shape: &LayerShape, est: &PolicyEstimate)
                     });
                 }
                 if rc.action == Action::Evict {
-                    res.remove(&rc.range);
+                    // Back to front: each removal then shifts only the
+                    // runs above the block, not the block's own runs.
+                    for run in rc.runs().rev() {
+                        res.remove(&run);
+                    }
                 } else {
                     res.insert(&rc.range);
                 }
@@ -421,17 +447,21 @@ pub fn lint_program(program: &Program, shape: &LayerShape, est: &PolicyEstimate)
                 )
             });
         }
-        annotations.push(CommandAnnotation {
-            index: i,
-            action: rc.action,
-            operand: rc.operand,
-            range: rc.range,
-            claimed_dram: claimed,
-            derived_dram,
-            claimed_resident_after: meta.resident_after,
-            derived_resident_after,
-            redundant_elems: redundant,
-        });
+        if annotate {
+            annotations.push(CommandAnnotation {
+                index: i,
+                action: rc.action,
+                operand: rc.operand,
+                range: rc.range,
+                stride: rc.stride,
+                count: rc.count,
+                claimed_dram: claimed,
+                derived_dram,
+                claimed_resident_after: meta.resident_after,
+                derived_resident_after,
+                redundant_elems: redundant,
+            });
+        }
     }
 
     // End-of-stream proofs.
@@ -512,7 +542,7 @@ pub fn lint_plan(plan: &ExecutionPlan, net: &Network) -> Result<LintReport, Lint
                 Program::lower(&layer.shape, &d.estimate).map_err(|e| LintError::Lower {
                     message: format!("layer {} ({}): {e}", d.layer_index, d.layer_name),
                 })?;
-            let mut lint = lint_program(&program, &layer.shape, &d.estimate);
+            let mut lint = analyze(&program, &layer.shape, &d.estimate, false);
             for diag in &mut lint.diagnostics {
                 diag.layer = Some(d.layer_index);
                 diag.layer_name = Some(d.layer_name.clone());
@@ -537,4 +567,49 @@ pub fn lint_plan(plan: &ExecutionPlan, net: &Network) -> Result<LintReport, Lint
         smm_obs::add(smm_obs::Counter::LintRedundantElems, report.redundant_elems);
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smm_arch::{AcceleratorConfig, ByteSize};
+    use smm_core::{Manager, ManagerConfig, Objective};
+    use smm_model::zoo;
+
+    #[test]
+    fn lint_plan_builds_no_annotations_but_the_same_traffic_and_diagnostics() {
+        let acc = AcceleratorConfig::paper_default(ByteSize::from_kb(64));
+        let net = zoo::resnet18();
+        let plan = Manager::new(acc, ManagerConfig::new(Objective::Accesses))
+            .heterogeneous(&net)
+            .unwrap();
+        let report = lint_plan(&plan, &net).unwrap();
+        for (layer, (d, l)) in report
+            .layers
+            .iter()
+            .zip(plan.decisions.iter().zip(&net.layers))
+        {
+            assert!(layer.lint.annotations.is_empty());
+            let program = Program::lower(&l.shape, &d.estimate).unwrap();
+            let alone = lint_program(&program, &l.shape, &d.estimate);
+            assert_eq!(alone.annotations.len(), program.commands.len());
+            assert_eq!(layer.commands, program.commands.len());
+            assert_eq!(
+                layer.lint.derived_access_counts(),
+                alone.derived_access_counts()
+            );
+            assert_eq!(layer.lint.derived_peak, alone.derived_peak);
+            assert_eq!(layer.lint.redundant_elems, alone.redundant_elems);
+            let findings = |diags: &[Diagnostic]| {
+                diags
+                    .iter()
+                    .map(|d| (d.code, d.message.clone()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                findings(&layer.lint.diagnostics),
+                findings(&alone.diagnostics)
+            );
+        }
+    }
 }

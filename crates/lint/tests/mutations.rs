@@ -145,6 +145,57 @@ fn smm014_malformed_commands_are_ledger_divergence() {
 }
 
 #[test]
+fn smm014_shrinking_a_filter_channel_evict_leaves_unrecorded_residency() {
+    let (mut p, shape, est) = lowered(PolicyKind::P3PerChannel);
+    assert_clean(&p, &shape, &est);
+    let i = position(
+        &p,
+        |c| matches!(c, Command::EvictFilterChannel { filters, .. } if filters.end - filters.start >= 2),
+    );
+    let Command::EvictFilterChannel { filters, channel } = &p.commands[i] else {
+        unreachable!()
+    };
+    // The evict now releases one filter fewer than the ledger says.
+    p.commands[i] = Command::EvictFilterChannel {
+        filters: filters.start..filters.end - 1,
+        channel: *channel,
+    };
+    let lint = lint_program(&p, &shape, &est);
+    assert!(
+        lint.diagnostics
+            .iter()
+            .any(|d| d.code == Code::LedgerDivergence
+                && d.message.contains(&format!("command {i} "))),
+        "shrunken evict block must diverge the residency ledger: {:?}",
+        lint.diagnostics
+    );
+}
+
+#[test]
+fn smm014_a_filter_block_past_the_last_filter_is_unresolvable() {
+    let (mut p, shape, est) = lowered(PolicyKind::P3PerChannel);
+    assert_clean(&p, &shape, &est);
+    let i = position(&p, |c| matches!(c, Command::FillFilterChannel { .. }));
+    let Command::FillFilterChannel { filters, channel } = &p.commands[i] else {
+        unreachable!()
+    };
+    p.commands[i] = Command::FillFilterChannel {
+        filters: filters.start..u64::from(shape.num_filters) + 1,
+        channel: *channel,
+    };
+    let lint = lint_program(&p, &shape, &est);
+    assert!(
+        lint.diagnostics
+            .iter()
+            .any(|d| d.code == Code::LedgerDivergence
+                && d.message.contains(&format!("command {i}:"))
+                && d.message.contains("outside")),
+        "an out-of-range filter block must be anchored ledger divergence: {:?}",
+        lint.diagnostics
+    );
+}
+
+#[test]
 fn smm015_shrinking_an_alloc_makes_the_store_unbacked() {
     let (mut p, shape, est) = lowered(PolicyKind::IntraLayer);
     assert_clean(&p, &shape, &est);

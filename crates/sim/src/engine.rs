@@ -105,8 +105,7 @@ fn classify(c: &Command) -> Kind {
         Command::FillIfmapRows { .. } | Command::StreamIfmapRows { .. } => Kind::IfmapRead,
         Command::FillFilters { .. }
         | Command::StreamFilters { .. }
-        | Command::FillFilterChannel { .. }
-        | Command::StreamFilterChannel { .. } => Kind::FilterRead,
+        | Command::FillFilterChannel { .. } => Kind::FilterRead,
         Command::StoreOfmapRows { .. } => Kind::Store,
         Command::ReloadPsumRows { .. } => Kind::PsumReload,
         Command::EvictIfmapRows { .. }
