@@ -207,8 +207,6 @@ pub struct ServeOptions {
     pub window_ms: u64,
     /// Sliding-window slide for the stream analytics, ms.
     pub slide_ms: u64,
-    /// Background pre-warm planner threads.
-    pub prewarm_workers: usize,
 }
 
 impl Default for ServeOptions {
@@ -228,7 +226,6 @@ impl Default for ServeOptions {
             prewarm: d.prewarm,
             window_ms: d.window_ms,
             slide_ms: d.slide_ms,
-            prewarm_workers: d.prewarm_workers,
         }
     }
 }
@@ -280,10 +277,6 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeOptions, String> {
             }
             "--slide-ms" => {
                 opts.slide_ms = number("--slide-ms", value("--slide-ms")?)?.max(1) as u64;
-            }
-            "--prewarm-workers" => {
-                opts.prewarm_workers =
-                    number("--prewarm-workers", value("--prewarm-workers")?)?.max(1);
             }
             other => return Err(format!("unknown serve flag {other:?}")),
         }
@@ -716,14 +709,17 @@ mod tests {
         assert!(d.stream, "stream analytics default on");
         assert!(d.prewarm, "pre-warming defaults on");
         let o = parse_serve(&argv(
-            "--no-stream --no-prewarm --window-ms 200 --slide-ms 50 --prewarm-workers 2",
+            "--no-stream --no-prewarm --window-ms 200 --slide-ms 50",
         ))
         .unwrap();
         assert!(!o.stream);
         assert!(!o.prewarm);
         assert_eq!(o.window_ms, 200);
         assert_eq!(o.slide_ms, 50);
-        assert_eq!(o.prewarm_workers, 2);
+        assert!(
+            parse_serve(&argv("--prewarm-workers 2")).is_err(),
+            "one pre-warm thread"
+        );
         assert!(parse_serve(&argv("--window-ms nope")).is_err());
         assert_eq!(parse_serve(&argv("--window-ms 0")).unwrap().window_ms, 1);
     }

@@ -852,8 +852,6 @@ pub fn serve(opts: &crate::args::ServeOptions) -> Result<(), String> {
         prewarm: opts.prewarm,
         window_ms: opts.window_ms,
         slide_ms: opts.slide_ms,
-        prewarm_workers: opts.prewarm_workers,
-        ..smm_serve::ServerConfig::default()
     })
     .map_err(|e| format!("cannot bind port {}: {e}", opts.port))?;
     let addr = handle.local_addr();

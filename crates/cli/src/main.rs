@@ -74,7 +74,6 @@ OPTIONS (serve):
     --no-prewarm          Disable the cache pre-warm controller
     --window-ms <MS>      Stream tumbling-window width (default 1000)
     --slide-ms <MS>       Stream sliding-window slide (default 250)
-    --prewarm-workers <N> Background pre-warm planner threads (default 1)
 
 OPTIONS (loadgen):
     --addr <HOST:PORT>    Server address (default 127.0.0.1:7878)

@@ -5,7 +5,7 @@ use crate::program::{Command, CommandMeta};
 use crate::resolver::{AddressResolver, ResolvedCommand};
 use smm_model::LayerShape;
 use smm_policy::{AccessCounts, PolicyEstimate};
-use smm_trace::{DramCounter, Scratchpad};
+use smm_trace::Scratchpad;
 use std::fmt;
 use std::ops::Range;
 
@@ -74,7 +74,6 @@ impl Replay {
 pub struct Engine {
     map: AddressResolver,
     sp: Scratchpad,
-    dram: DramCounter,
     shape: LayerShape,
     pub replay: Replay,
     record: Option<Vec<Command>>,
@@ -90,12 +89,9 @@ impl Engine {
     /// shapes accepted by `LayerShape::validate`.
     pub fn new(shape: &LayerShape, capacity: u64) -> Self {
         let map = AddressResolver::new(shape).expect("layer address space fits in u64");
-        let dram = DramCounter::new();
-        let sp = Scratchpad::new(capacity, dram.clone());
         Engine {
             map,
-            sp,
-            dram,
+            sp: Scratchpad::new(capacity),
             shape: *shape,
             replay: Replay::default(),
             record: None,
@@ -151,12 +147,11 @@ impl Engine {
     }
 
     fn charged_fill(&mut self, range: Range<u64>) -> Result<u64, ExecError> {
-        let before = self.dram.reads();
-        self.sp.fill(range).map_err(|e| ExecError {
+        let n = self.sp.fill(range).map_err(|e| ExecError {
             message: e.to_string(),
         })?;
         self.track_peak();
-        Ok(self.dram.reads() - before)
+        Ok(n)
     }
 
     /// Bring padded-ifmap rows of one channel on-chip (misses charged).
@@ -189,7 +184,6 @@ impl Engine {
         let r = self.map.ifmap_rows(c, rows);
         let n = r.end - r.start;
         self.replay.ifmap_loads += n;
-        self.sp.stream(r);
         self.note(n, false);
     }
 
@@ -240,7 +234,6 @@ impl Engine {
         let r = self.map.filters(fs);
         let n = r.end - r.start;
         self.replay.filter_loads += n;
-        self.sp.stream(r);
         self.note(n, false);
     }
 
@@ -331,7 +324,7 @@ impl Engine {
         let r = self.map.ofmap_rows(c, rows);
         let n = r.end - r.start;
         self.replay.ofmap_writes += n;
-        self.sp.writeback(r);
+        self.sp.evict(r);
         self.note(n, true);
     }
 
@@ -345,12 +338,7 @@ impl Engine {
             rows: rows.clone(),
         });
         let r = self.map.ofmap_rows(c, rows);
-        let before = self.dram.reads();
-        self.sp.fill(r).map_err(|e| ExecError {
-            message: e.to_string(),
-        })?;
-        self.track_peak();
-        let n = self.dram.reads() - before;
+        let n = self.charged_fill(r)?;
         self.replay.ofmap_reads += n;
         self.note(n, false);
         Ok(())

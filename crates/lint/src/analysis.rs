@@ -236,11 +236,11 @@ fn analyze(
     // partial-sum spills legitimately precede some of their input
     // fills; see docs/LINTING.md).
     let mut later_stored = IntervalSet::new();
-    let mut final_parts: Vec<Option<Vec<Range<u64>>>> = vec![None; program.commands.len()];
+    let mut is_final_store = vec![false; program.commands.len()];
     for (i, cmd) in program.commands.iter().enumerate().rev() {
         if let Command::StoreOfmapRows { .. } = cmd {
             if let Ok(rc) = resolver.resolve(i, cmd) {
-                final_parts[i] = Some(later_stored.missing_runs(&rc.range));
+                is_final_store[i] = later_stored.missing(&rc.range) > 0;
                 later_stored.insert(&rc.range);
             }
         }
@@ -398,10 +398,7 @@ fn analyze(
                 // RAW proof: a store whose bytes are never overwritten
                 // by a later store is final output — every input that
                 // feeds it must have been delivered by now.
-                let is_final = final_parts[i]
-                    .as_ref()
-                    .is_some_and(|parts| !parts.is_empty());
-                if is_final {
+                if is_final_store[i] {
                     if let Command::StoreOfmapRows { channel, rows } = cmd {
                         let in_rows = required_input_rows(shape, rows);
                         let in_channels: Vec<u64> = if shape.depthwise {

@@ -126,29 +126,6 @@ impl IntervalSet {
     pub fn covers(&self, range: &Range<u64>) -> bool {
         self.missing(range) == 0
     }
-
-    /// The maximal sub-ranges of `range` that are *not* in the set, in
-    /// address order.
-    pub fn missing_runs(&self, range: &Range<u64>) -> Vec<Range<u64>> {
-        let mut out = Vec::new();
-        if range.start >= range.end {
-            return out;
-        }
-        let mut cursor = range.start;
-        let mut i = self.first_candidate(range.start);
-        while i < self.runs.len() && self.runs[i].start < range.end {
-            let r = &self.runs[i];
-            if r.start > cursor {
-                out.push(cursor..r.start);
-            }
-            cursor = cursor.max(r.end);
-            i += 1;
-        }
-        if cursor < range.end {
-            out.push(cursor..range.end);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +165,6 @@ mod tests {
         assert!(s.covers(&(12..18)));
         assert!(!s.covers(&(12..25)));
         assert!(s.covers(&(7..7)), "empty range vacuously covered");
-        assert_eq!(s.missing_runs(&(0..50)), vec![0..10, 20..30, 40..50]);
-        assert_eq!(s.missing_runs(&(12..18)), Vec::<Range<u64>>::new());
     }
 
     #[test]
@@ -252,12 +227,6 @@ mod tests {
                 let want = probe.clone().filter(|a| model.contains(a)).count() as u64;
                 prop_assert_eq!(s.intersect_len(&probe), want);
                 prop_assert_eq!(s.missing(&probe), 64 - want);
-                let runs_total: u64 = s
-                    .missing_runs(&probe)
-                    .iter()
-                    .map(|r| r.end - r.start)
-                    .sum();
-                prop_assert_eq!(runs_total, 64 - want);
             }
         }
     }

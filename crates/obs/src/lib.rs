@@ -172,14 +172,11 @@ pub enum Counter {
     /// Pre-warmed plans inserted into the cache before a request
     /// missed on them.
     ServePrewarmInserted,
-    /// Pre-warm candidates skipped because the plan was already cached
-    /// by the time the controller got to them.
-    ServePrewarmSkipped,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 50] = [
+    pub const ALL: [Counter; 49] = [
         Counter::PlannerCandidates,
         Counter::PlannerPrefetchRejected,
         Counter::PlannerLayersPlanned,
@@ -229,7 +226,6 @@ impl Counter {
         Counter::ServeShedPredicted,
         Counter::ServePrewarmAttempts,
         Counter::ServePrewarmInserted,
-        Counter::ServePrewarmSkipped,
     ];
 
     /// Stable dotted name (report rows, Chrome counter events).
@@ -284,7 +280,6 @@ impl Counter {
             Counter::ServeShedPredicted => "serve.shed_predicted",
             Counter::ServePrewarmAttempts => "serve.prewarm_attempts",
             Counter::ServePrewarmInserted => "serve.prewarm_inserted",
-            Counter::ServePrewarmSkipped => "serve.prewarm_skipped",
         }
     }
 
@@ -328,12 +323,37 @@ impl Histogram {
 
 const NUM_COUNTERS: usize = Counter::ALL.len();
 const NUM_HISTOGRAMS: usize = Histogram::ALL.len();
-/// log2 buckets: bucket `i` counts values in `[2^(i-1), 2^i)`, bucket 0
-/// counts zeros and ones.
+/// Buckets per registry histogram; see [`pow2_bucket`].
 const HIST_BUCKETS: usize = 33;
 /// Trace events are capped so a pathological run cannot exhaust memory;
 /// the report notes how many were dropped.
 const MAX_TRACE_EVENTS: usize = 1 << 20;
+
+/// The power-of-two bucket of `value` in a histogram of `buckets`
+/// buckets: bucket 0 holds only 0, bucket `k >= 1` holds
+/// `[2^(k-1), 2^k)` (so 1 lands in bucket 1), and the last bucket also
+/// takes everything above its range. The registry's histograms and
+/// smm-stream's per-cell latency histograms both bucket by this rule.
+#[inline]
+pub fn pow2_bucket(value: u64, buckets: usize) -> usize {
+    ((64 - value.leading_zeros()) as usize).min(buckets - 1)
+}
+
+/// Exclusive upper bound of [`pow2_bucket`] `k`: `2^k`.
+pub fn pow2_bucket_bound(k: usize) -> u64 {
+    1u64 << k.min(63)
+}
+
+/// The bucket holding the `rank`-th smallest observation (1-based): the
+/// first bucket whose running count reaches `rank`, or `None` when the
+/// counts sum to less than `rank`.
+pub fn rank_bucket(counts: impl IntoIterator<Item = u64>, rank: u64) -> Option<usize> {
+    let mut seen = 0u64;
+    counts.into_iter().position(|n| {
+        seen += n;
+        seen >= rank
+    })
+}
 
 /// Aggregated timing for one span name.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -479,8 +499,7 @@ pub fn observe(hist: Histogram, value: u64) {
     if !enabled() {
         return;
     }
-    let bucket = (64 - value.leading_zeros()) as usize; // 0 → 0, 1 → 1, 2..3 → 2, …
-    let bucket = bucket.min(HIST_BUCKETS - 1);
+    let bucket = pow2_bucket(value, HIST_BUCKETS);
     collector().histograms[hist.index()][bucket].fetch_add(1, Ordering::Relaxed);
 }
 

@@ -1,7 +1,7 @@
 //! Aggregated profile report: counter totals, histogram summaries, and
 //! per-span timing rows, with a plain-text `Display` rendering.
 
-use crate::{Collector, Counter, Histogram, SpanStats};
+use crate::{pow2_bucket_bound, rank_bucket, Collector, Counter, Histogram, SpanStats};
 use std::fmt;
 
 /// One counter row in a [`ProfileReport`].
@@ -21,7 +21,7 @@ pub struct HistogramRow {
     /// Number of observations.
     pub count: u64,
     /// Upper bound (exclusive, power of two) of the median bucket; 1
-    /// means the median observation was 0 or 1.
+    /// means the median observation was 0, 2 that it was 1.
     pub p50_bound: u64,
     /// Upper bound of the bucket holding the largest observation.
     pub max_bound: u64,
@@ -85,21 +85,13 @@ pub(crate) fn build(c: &Collector) -> ProfileReport {
             if count == 0 {
                 return None;
             }
-            let mut seen = 0u64;
-            let mut p50_bucket = 0usize;
-            for (i, &b) in buckets.iter().enumerate() {
-                seen += b;
-                if seen * 2 >= count {
-                    p50_bucket = i;
-                    break;
-                }
-            }
+            let p50_bucket = rank_bucket(buckets, count.div_ceil(2)).unwrap_or(0);
             let max_bucket = buckets.iter().rposition(|&b| b > 0).unwrap_or(0);
             Some(HistogramRow {
                 histogram: k,
                 count,
-                p50_bound: bucket_bound(p50_bucket),
-                max_bound: bucket_bound(max_bucket),
+                p50_bound: pow2_bucket_bound(p50_bucket),
+                max_bound: pow2_bucket_bound(max_bucket),
             })
         })
         .collect();
@@ -117,11 +109,6 @@ pub(crate) fn build(c: &Collector) -> ProfileReport {
         spans,
         dropped_events: c.dropped_events.load(std::sync::atomic::Ordering::Relaxed),
     }
-}
-
-/// Exclusive upper bound of log2 bucket `i` (bucket 0 holds {0, 1}).
-fn bucket_bound(i: usize) -> u64 {
-    1u64 << i.min(63)
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -237,8 +224,14 @@ mod tests {
 
     #[test]
     fn bucket_bounds() {
-        assert_eq!(bucket_bound(0), 1);
-        assert_eq!(bucket_bound(1), 2);
-        assert_eq!(bucket_bound(10), 1024);
+        assert_eq!(pow2_bucket_bound(0), 1);
+        assert_eq!(pow2_bucket_bound(1), 2);
+        assert_eq!(pow2_bucket_bound(10), 1024);
+        // The median walk: the first bucket whose running count reaches
+        // the rank.
+        assert_eq!(rank_bucket([1, 0, 2, 1], 1), Some(0));
+        assert_eq!(rank_bucket([1, 0, 2, 1], 2), Some(2));
+        assert_eq!(rank_bucket([1, 0, 2, 1], 4), Some(3));
+        assert_eq!(rank_bucket([1, 0, 2, 1], 5), None);
     }
 }

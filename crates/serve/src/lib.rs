@@ -29,8 +29,8 @@
 //!   queue *time* (not length) bounded under slow-plan overload, and
 //!   the cell's predicted miss cost against the request's deadline.
 //! - [`stream_hub`] — windowed traffic analytics: reactor shards and
-//!   workers tap terminal request outcomes into lock-free SPSC lanes; a
-//!   collector drains them into watermark-driven tumbling and sliding
+//!   workers tap terminal request outcomes into bounded per-thread
+//!   lanes; a collector swaps them out into watermark-driven tumbling and sliding
 //!   [`smm_stream`] windows, keeps a per-cell predicted-cost book, and
 //!   ranks pre-warm candidates by arrival rate × predicted cost.
 //! - [`server`] — wires the above into the planning server: shared

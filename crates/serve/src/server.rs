@@ -63,7 +63,6 @@ use smm_core::{
 use smm_model::Network;
 use smm_obs::{Counter, CounterSnapshot};
 use smm_stream::EventKind;
-use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,7 +75,7 @@ const PREWARM_INTERVAL: Duration = Duration::from_millis(50);
 /// Trailing tumbling windows the pre-warm ranking looks at.
 const PREWARM_HORIZON: usize = 30;
 
-/// Plans one pre-warm thread builds per tick, bounding how much
+/// Plans the pre-warm thread builds per tick, bounding how much
 /// background planning competes with foreground misses.
 const PREWARM_PER_TICK: usize = 4;
 
@@ -132,7 +131,7 @@ pub struct ServerConfig {
     /// predicted drain time stays within this budget.
     pub shed_target_ms: u64,
     /// Enable the traffic-stream tap: per-request events flow through
-    /// lock-free rings into windowed per-cell analytics (the `stream`
+    /// bounded per-thread lanes into windowed per-cell analytics (the `stream`
     /// op, `smm top`) and feed the closed-loop controller. See
     /// `docs/STREAMING.md`.
     pub stream: bool,
@@ -146,11 +145,6 @@ pub struct ServerConfig {
     /// `(0, window_ms]`; the width is then rounded down to a whole
     /// number of slide panes).
     pub slide_ms: u64,
-    /// Pre-warm planner threads.
-    pub prewarm_workers: usize,
-    /// Most cells the pre-warmer keeps warm; 0 picks `cache_cap / 2`
-    /// so background warming can never churn the whole cache.
-    pub prewarm_cap: usize,
 }
 
 impl Default for ServerConfig {
@@ -169,8 +163,6 @@ impl Default for ServerConfig {
             prewarm: true,
             window_ms: 1_000,
             slide_ms: 250,
-            prewarm_workers: 1,
-            prewarm_cap: 0,
         }
     }
 }
@@ -294,7 +286,7 @@ pub struct ServerHandle {
     reactor: Option<Reactor>,
     workers: Vec<JoinHandle<()>>,
     collector: Option<JoinHandle<()>>,
-    prewarmers: Vec<JoinHandle<()>>,
+    prewarmer: Option<JoinHandle<()>>,
     stream_stop: Arc<AtomicBool>,
 }
 
@@ -323,13 +315,9 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         // One tap lane per emitting thread: reactor shards first, then
         // planning workers, so each lane has a single producer.
-        let (hub, consumers) = if cfg.stream {
-            let (hub, consumers) =
-                StreamHub::new(shards_n + workers_n, cfg.window_ms, cfg.slide_ms);
-            (Some(hub), Some(consumers))
-        } else {
-            (None, None)
-        };
+        let hub = cfg
+            .stream
+            .then(|| StreamHub::new(shards_n + workers_n, cfg.window_ms, cfg.slide_ms));
         let shared = Arc::new(Shared {
             queue: ShardedQueue::new(stripes, cfg.queue_cap),
             cache: PlanCache::new(cfg.cache_cap),
@@ -357,39 +345,25 @@ impl Server {
         // own flag, raised by `join` after the workers drain, so the
         // final pass still captures their events.
         let stream_stop = Arc::new(AtomicBool::new(false));
-        let collector = consumers.map(|consumers| {
-            let shared = Arc::clone(&shared);
+        let collector = shared.hub.as_ref().map(|hub| {
+            let hub = Arc::clone(hub);
             let stop = Arc::clone(&stream_stop);
             thread::Builder::new()
                 .name("smm-serve-stream".into())
-                .spawn(move || {
-                    if let Some(hub) = &shared.hub {
-                        hub.run_collector(consumers, &stop);
-                    }
-                })
+                .spawn(move || hub.run_collector(&stop))
                 .expect("spawn stream collector thread")
         });
 
-        let prewarmers = if cfg.stream && cfg.prewarm && cfg.cache_cap > 0 {
-            let cap = if cfg.prewarm_cap > 0 {
-                cfg.prewarm_cap
-            } else {
-                (cfg.cache_cap / 2).max(1)
-            };
-            let inflight = Arc::new(parking_lot::Mutex::new(HashSet::new()));
-            (0..cfg.prewarm_workers.max(1))
-                .map(|i| {
-                    let shared = Arc::clone(&shared);
-                    let inflight = Arc::clone(&inflight);
-                    thread::Builder::new()
-                        .name(format!("smm-serve-prewarm-{i}"))
-                        .spawn(move || prewarm_loop(&shared, cap, &inflight))
-                        .expect("spawn prewarm thread")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // One pre-warm thread. It keeps at most half the cache warm, so
+        // background warming can never churn the whole cache.
+        let prewarmer = (cfg.stream && cfg.prewarm && cfg.cache_cap > 0).then(|| {
+            let shared = Arc::clone(&shared);
+            let cap = (cfg.cache_cap / 2).max(1);
+            thread::Builder::new()
+                .name("smm-serve-prewarm".into())
+                .spawn(move || prewarm_loop(&shared, cap))
+                .expect("spawn prewarm thread")
+        });
 
         let workers = (0..workers_n)
             .map(|i| {
@@ -420,7 +394,7 @@ impl Server {
             reactor: Some(reactor),
             workers,
             collector,
-            prewarmers,
+            prewarmer,
             stream_stop,
         })
     }
@@ -435,7 +409,7 @@ impl ServerHandle {
     /// Signal shutdown. Non-blocking; pair with [`join`](Self::join).
     pub fn stop(&self) {
         // Release pairs with the Acquire polls in the reactor and the
-        // pre-warm threads; the flag carries no data, it only has to
+        // pre-warm thread; the flag carries no data, it only has to
         // become visible.
         self.shared.shutdown.store(true, Ordering::Release);
     }
@@ -467,7 +441,7 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        for p in self.prewarmers.drain(..) {
+        if let Some(p) = self.prewarmer.take() {
             let _ = p.join();
         }
         // Stop the collector only after the workers drained, so its
@@ -871,7 +845,7 @@ fn serve_plan(job: &Job, shared: &Arc<Shared>) -> (String, bool, EventKind) {
 /// a miss. Warming goes through [`plan_render_cache`] — identical
 /// verification gates, identical bytes — and pays the seed's simulated
 /// `delay_ms`, so the hit-rate gain it buys is honest.
-fn prewarm_loop(shared: &Arc<Shared>, cap: usize, inflight: &parking_lot::Mutex<HashSet<u32>>) {
+fn prewarm_loop(shared: &Arc<Shared>, cap: usize) {
     let Some(hub) = shared.hub.as_ref() else {
         return;
     };
@@ -893,17 +867,8 @@ fn prewarm_loop(shared: &Arc<Shared>, cap: usize, inflight: &parking_lot::Mutex<
             if shared.cache.peek(&key) {
                 continue;
             }
-            // Claim the cell so concurrent pre-warm threads never plan
-            // the same key twice.
-            if !inflight.lock().insert(cell) {
-                continue;
-            }
             smm_obs::add(Counter::ServePrewarmAttempts, 1);
-            // Re-probe under the claim: a worker may have planned the
-            // key between the first probe and now.
-            if shared.cache.peek(&key) {
-                smm_obs::add(Counter::ServePrewarmSkipped, 1);
-            } else if let Ok(net) = spec.resolve() {
+            if let Ok(net) = spec.resolve() {
                 // The plan's cost is not booked: the book holds what
                 // client misses cost, and the ranking reads it. Booking
                 // background plans (cheaper, on a warm layer memo)
@@ -925,7 +890,6 @@ fn prewarm_loop(shared: &Arc<Shared>, cap: usize, inflight: &parking_lot::Mutex<
                 }
                 warmed += 1;
             }
-            inflight.lock().remove(&cell);
         }
     }
 }

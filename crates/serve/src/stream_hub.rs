@@ -3,10 +3,11 @@
 //! This module is the serve side of `smm-stream` (`docs/STREAMING.md`).
 //! Every classified request — inline hit, worker hit, miss, shed,
 //! deadline, error — becomes one [`StreamEvent`] pushed into a
-//! per-thread SPSC lane: one lane per reactor shard, one per planning
-//! worker, so every lane has exactly one producer by thread ownership.
-//! A background **collector** thread drains the lanes every
-//! [`COLLECT_INTERVAL`] into two watermark-driven [`WindowEngine`]s
+//! per-thread lane: one lane per reactor shard, one per planning
+//! worker. A lane is a fixed-capacity `Vec` behind a mutex that only
+//! its thread and the collector ever take. A background **collector**
+//! thread swaps each lane's events out every [`COLLECT_INTERVAL`] and
+//! feeds them into two watermark-driven [`WindowEngine`]s
 //! (tumbling for rates and the pre-warm ranking, sliding for smooth
 //! `smm top` views) and retains closed windows in bounded
 //! [`WindowStore`]s.
@@ -26,15 +27,17 @@
 //!   both, the measured one un-aged.
 //!
 //! The hot-path cost of the tap is one registry intern (read lock +
-//! hash on the common path) and one wait-free ring push; a full ring
-//! drops the event and bumps a counter, never blocking the reactor.
+//! hash on the common path) and one push under the lane's lock, which
+//! the collector holds only for a swap; a full lane drops the event
+//! and bumps a counter, so the tap never waits for the collector to
+//! drain it.
 
 use crate::admission::Estimate;
 use crate::protocol::Request;
 use parking_lot::{Mutex, RwLock};
 use smm_stream::{
-    spsc, CellAgg, CellRegistry, Consumer, EngineStats, EventKind, Producer, StreamEvent,
-    WindowConfig, WindowEngine, WindowStore,
+    CellAgg, CellRegistry, EngineStats, EventKind, StreamEvent, WindowConfig, WindowEngine,
+    WindowStore,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -49,7 +52,7 @@ pub const COLLECT_INTERVAL: Duration = Duration::from_millis(10);
 /// lanes by up to the drain interval per side, plus scheduling noise.
 const LATENESS_US: u64 = 100_000;
 
-/// Per-lane ring capacity (events). At 4096 a lane absorbs a full
+/// Per-lane capacity (events). At 4096 a lane absorbs a full
 /// collector interval of >400k req/s before dropping.
 const LANE_CAP: usize = 4096;
 
@@ -73,21 +76,29 @@ pub struct CellCost {
     pub miss: Estimate,
 }
 
+/// One emitting thread's events awaiting the collector.
+struct Lane {
+    /// Allocated once at [`LANE_CAP`]; never grows past it.
+    events: Vec<StreamEvent>,
+    /// Events refused because `events` was full, since the hub started.
+    dropped: u64,
+}
+
 /// Shared stream state; see the module docs.
 pub struct StreamHub {
     epoch: Instant,
     registry: CellRegistry,
-    /// One SPSC producer per emitting thread (shards, then workers).
-    /// The mutex is uncontended — only the owning thread locks it — and
-    /// exists to hand out `&mut Producer` from a shared `Arc`.
-    lanes: Vec<Mutex<Producer<StreamEvent>>>,
+    /// One lane per emitting thread (shards, then workers). Each mutex
+    /// is taken by its own thread per event and by the collector once
+    /// per pass.
+    lanes: Vec<Mutex<Lane>>,
     tumbling_store: WindowStore,
     sliding_store: WindowStore,
     /// Collector-refreshed copy of the tumbling engine's counters.
     stats: Mutex<EngineStats>,
     /// Windows closed across both engines (mirrors the obs counter).
     windows_closed: AtomicU64,
-    /// Total ring drops across all lanes, collector-refreshed.
+    /// Total lane drops, collector-refreshed.
     dropped: AtomicU64,
     /// Last plan request seen per cell (the pre-warm seed).
     seeds: Mutex<HashMap<u32, Request>>,
@@ -98,20 +109,8 @@ pub struct StreamHub {
 }
 
 impl StreamHub {
-    /// Build a hub with `lanes` producer slots (one per emitting
-    /// thread), returning the consumers to move into the collector.
-    pub fn new(
-        lanes: usize,
-        window_ms: u64,
-        slide_ms: u64,
-    ) -> (Arc<Self>, Vec<Consumer<StreamEvent>>) {
-        let mut producers = Vec::with_capacity(lanes);
-        let mut consumers = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            let (tx, rx) = spsc::<StreamEvent>(LANE_CAP);
-            producers.push(Mutex::new(tx));
-            consumers.push(rx);
-        }
+    /// Build a hub with `lanes` lanes, one per emitting thread.
+    pub fn new(lanes: usize, window_ms: u64, slide_ms: u64) -> Arc<Self> {
         // The engine requires width % slide == 0. Clamp the slide into
         // (0, window], honor it exactly, and round the width *down* to
         // a whole number of slide panes (at most slide-1 µs narrower
@@ -122,10 +121,17 @@ impl StreamHub {
             .saturating_mul(1000)
             .min(window_ms.max(1).saturating_mul(1000));
         let window_us = (window_ms.max(1).saturating_mul(1000) / slide_us) * slide_us;
-        let hub = Arc::new(StreamHub {
+        Arc::new(StreamHub {
             epoch: Instant::now(),
             registry: CellRegistry::default(),
-            lanes: producers,
+            lanes: (0..lanes)
+                .map(|_| {
+                    Mutex::new(Lane {
+                        events: Vec::with_capacity(LANE_CAP),
+                        dropped: 0,
+                    })
+                })
+                .collect(),
             tumbling_store: WindowStore::new(STORE_CAP),
             sliding_store: WindowStore::new(STORE_CAP),
             stats: Mutex::new(EngineStats::default()),
@@ -135,8 +141,7 @@ impl StreamHub {
             costs: RwLock::new(HashMap::new()),
             window_us,
             slide_us,
-        });
-        (hub, consumers)
+        })
     }
 
     /// Microseconds since the hub's epoch (the event-time clock).
@@ -155,8 +160,8 @@ impl StreamHub {
         self.registry.intern(model, req.glb_kb, tenant)
     }
 
-    /// Emit one classified request into lane `lane`. Wait-free; a full
-    /// lane drops the event (the collector mirrors the drop count).
+    /// Emit one classified request into lane `lane`. A full lane drops
+    /// the event (the collector mirrors the drop count).
     pub fn emit(&self, lane: usize, cell: u32, kind: EventKind, service_us: u64) {
         let event = StreamEvent {
             ts_us: self.now_us(),
@@ -165,8 +170,12 @@ impl StreamHub {
             service_us: u32::try_from(service_us).unwrap_or(u32::MAX),
         };
         if let Some(lane) = self.lanes.get(lane) {
-            // Uncontended: only the owning thread uses this lane.
-            lane.lock().push(event);
+            let mut lane = lane.lock();
+            if lane.events.len() < LANE_CAP {
+                lane.events.push(event);
+            } else {
+                lane.dropped += 1;
+            }
         }
     }
 
@@ -224,11 +233,12 @@ impl StreamHub {
         scored.into_iter().take(max).map(|(_, c)| c).collect()
     }
 
-    /// The collector loop: drain every lane into the two engines,
-    /// advance the watermark by wall clock, retain closed windows, and
-    /// mirror the stream counters into `smm-obs`. Runs until `shutdown`
-    /// (with one final drain so tests observe every emitted event).
-    pub fn run_collector(&self, mut consumers: Vec<Consumer<StreamEvent>>, shutdown: &AtomicBool) {
+    /// The collector loop: swap every lane's events out and feed them
+    /// into the two engines, advance the watermark by wall clock,
+    /// retain closed windows, and mirror the stream counters into
+    /// `smm-obs`. Runs until `shutdown` (with one final pass so tests
+    /// observe every emitted event).
+    pub fn run_collector(&self, shutdown: &AtomicBool) {
         let mut tumbling = WindowEngine::new(WindowConfig::tumbling(self.window_us, LATENESS_US))
             .expect("tumbling config is valid by construction");
         let mut sliding = WindowEngine::new(WindowConfig::sliding(
@@ -238,15 +248,25 @@ impl StreamHub {
         ))
         .expect("sliding config is valid by construction");
         let mut seen = (0u64, 0u64, 0u64, 0u64); // events, late, closed, dropped
+
+        // Swapped with each lane in turn, so the emitters always find a
+        // lane with room for LANE_CAP events.
+        let mut spare: Vec<StreamEvent> = Vec::with_capacity(LANE_CAP);
         loop {
             // Acquire pairs with the server's Release store; read
-            // before draining so the post-signal pass still collects.
+            // before collecting so the post-signal pass still collects.
             let stop = shutdown.load(Ordering::Acquire);
-            for rx in &mut consumers {
-                rx.drain(|e| {
+            let mut dropped = 0u64;
+            for lane in &self.lanes {
+                {
+                    let mut lane = lane.lock();
+                    std::mem::swap(&mut lane.events, &mut spare);
+                    dropped += lane.dropped;
+                }
+                for e in spare.drain(..) {
                     tumbling.push(&e);
                     sliding.push(&e);
-                });
+                }
             }
             let now = self.now_us();
             tumbling.advance_to(now);
@@ -261,7 +281,6 @@ impl StreamHub {
                 closed_now += 1;
             }
             let st = tumbling.stats();
-            let dropped: u64 = consumers.iter().map(Consumer::dropped).sum();
             let closed_total = self.windows_closed.load(Ordering::Relaxed) + closed_now;
             smm_obs::add(smm_obs::Counter::StreamEvents, st.events - seen.0);
             smm_obs::add(smm_obs::Counter::StreamLate, st.late_events - seen.1);
@@ -384,7 +403,7 @@ mod tests {
 
     #[test]
     fn events_flow_through_the_collector_into_windows() {
-        let (hub, consumers) = StreamHub::new(2, 50, 50);
+        let hub = StreamHub::new(2, 50, 50);
         let shutdown = AtomicBool::new(false);
         let cell = hub.cell_of(&plan_req("resnet18", 64, None));
         for i in 0..40 {
@@ -393,7 +412,7 @@ mod tests {
         // One manual collector pass after the windows can close.
         std::thread::sleep(Duration::from_millis(200));
         shutdown.store(true, Ordering::Release);
-        hub.run_collector(consumers, &shutdown);
+        hub.run_collector(&shutdown);
         assert!(
             !hub.tumbling_store.is_empty(),
             "a 50ms window must have closed"
@@ -410,8 +429,30 @@ mod tests {
     }
 
     #[test]
+    fn full_lane_counts_drops_until_the_collector_swaps_it() {
+        const EXTRA: u64 = 7;
+        let hub = StreamHub::new(2, 50, 50);
+        let cell = hub.cell_of(&plan_req("resnet18", 64, None));
+        for _ in 0..LANE_CAP as u64 + EXTRA {
+            hub.emit(1, cell, EventKind::HitInline, 10);
+        }
+        let shutdown = AtomicBool::new(true);
+        hub.run_collector(&shutdown);
+        assert_eq!(hub.stats.lock().events, LANE_CAP as u64);
+        assert_eq!(hub.dropped.load(Ordering::Relaxed), EXTRA);
+        let body = hub.view_body(1, false);
+        assert!(body.contains(&format!("\"dropped\":{EXTRA},")), "{body}");
+        // The swapped-in lane has room again and drops stay cumulative
+        // (each `run_collector` call starts with fresh engines).
+        hub.emit(1, cell, EventKind::HitInline, 10);
+        hub.run_collector(&shutdown);
+        assert_eq!(hub.stats.lock().events, 1);
+        assert_eq!(hub.dropped.load(Ordering::Relaxed), EXTRA);
+    }
+
+    #[test]
     fn seeds_record_first_shape_and_strip_identity() {
-        let (hub, _consumers) = StreamHub::new(1, 100, 100);
+        let hub = StreamHub::new(1, 100, 100);
         let mut req = plan_req("mobilenet", 96, Some("acme"));
         req.id = Some("r1".into());
         req.deadline_ms = Some(5);
@@ -430,7 +471,7 @@ mod tests {
 
     #[test]
     fn costs_blend_and_rank_candidates_by_rate_times_cost() {
-        let (hub, consumers) = StreamHub::new(1, 20, 20);
+        let hub = StreamHub::new(1, 20, 20);
         let shutdown = AtomicBool::new(false);
         let hot = hub.cell_of(&plan_req("resnet18", 64, None));
         let cold = hub.cell_of(&plan_req("gemm-bench", 256, None));
@@ -451,7 +492,7 @@ mod tests {
         hub.emit(0, cold, EventKind::Miss, 4_000);
         std::thread::sleep(Duration::from_millis(150));
         shutdown.store(true, Ordering::Release);
-        hub.run_collector(consumers, &shutdown);
+        hub.run_collector(&shutdown);
         let ranked = hub.prewarm_candidates(8, 2);
         assert_eq!(ranked.first(), Some(&hot), "hot×cost outranks cold");
         assert_eq!(ranked.len(), 2);
@@ -464,9 +505,9 @@ mod tests {
         // must hand the engines a valid config (this used to panic the
         // collector thread at startup) by keeping the slide exact and
         // rounding the width down to 90ms.
-        let (hub, consumers) = StreamHub::new(1, 100, 30);
+        let hub = StreamHub::new(1, 100, 30);
         let shutdown = AtomicBool::new(true);
-        hub.run_collector(consumers, &shutdown); // one pass; must not panic
+        hub.run_collector(&shutdown); // one pass; must not panic
         let body = hub.view_body(1, true);
         assert!(body.contains("\"window_ms\":90,\"slide_ms\":30"), "{body}");
     }

@@ -163,19 +163,15 @@ pub(crate) fn simulate_commands(
     // Compute attribution weights: each read command (elided or not —
     // elision changes where data comes from, not what gets computed)
     // releases a slice of the layer's compute proportional to the
-    // elements it delivered.
-    let weights: Vec<u64> = program
-        .meta
-        .iter()
-        .map(|m| if m.is_write { 0 } else { m.dram_elems })
-        .collect();
-    let weight_total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-    let write_total: u128 = program
-        .meta
-        .iter()
-        .filter(|m| m.is_write)
-        .map(|m| u128::from(m.dram_elems))
-        .sum();
+    // elements it delivered, its `dram_elems`.
+    let (mut weight_total, mut write_total) = (0u128, 0u128);
+    for m in &program.meta {
+        if m.is_write {
+            write_total += u128::from(m.dram_elems);
+        } else {
+            weight_total += u128::from(m.dram_elems);
+        }
+    }
 
     let mut rng =
         StdRng::seed_from_u64(cfg.seed ^ (layer_index as u64).wrapping_mul(LAYER_SEED_GAMMA));
@@ -220,7 +216,7 @@ pub(crate) fn simulate_commands(
         occupancy_violations: 0,
     };
 
-    for (i, (cmd, meta)) in program.commands.iter().zip(&program.meta).enumerate() {
+    for (cmd, meta) in program.commands.iter().zip(&program.meta) {
         let kind = classify(cmd);
         let elided = match kind {
             Kind::IfmapRead => elide.ifmap,
@@ -301,8 +297,8 @@ pub(crate) fn simulate_commands(
         // begin as the first elements land but cannot finish before
         // the transfer does — without prefetch the whole command must
         // arrive first (Eq. 1's full serialization).
-        if !meta.is_write && weights[i] > 0 && weight_total > 0 {
-            cum_weight += u128::from(weights[i]);
+        if !meta.is_write && meta.dram_elems > 0 && weight_total > 0 {
+            cum_weight += u128::from(meta.dram_elems);
             let new_cum = compute_total_ticks * cum_weight / weight_total;
             let chunk = (new_cum - cum_chunks) as u64;
             cum_chunks = new_cum;

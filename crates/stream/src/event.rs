@@ -5,8 +5,8 @@
 //! service latency, and a compact **cell** id. A cell is the unit the
 //! windows aggregate over — one (model, GLB size, tenant) combination —
 //! interned once into a `u32` by the [`CellRegistry`] so the event
-//! itself is a small `Copy` struct that travels through the SPSC rings
-//! without allocation.
+//! itself is a small `Copy` struct that travels through the serve tap's
+//! lanes without allocation.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

@@ -8,10 +8,6 @@
 //! into queryable, windowed aggregates and gives the serving layer the
 //! raw material for closed-loop decisions:
 //!
-//! - [`ring::spsc`] — the bounded single-producer/single-consumer event
-//!   channel each reactor shard (and planning worker) writes into.
-//!   Wait-free on the push side, drop-counted when full: analytics can
-//!   lose events, the hot path can never stall on them.
 //! - [`StreamEvent`] / [`CellRegistry`] — one compact `Copy` event per
 //!   classified request, tagged with an interned **cell** id (model ×
 //!   GLB size × tenant), the unit all aggregation keys on.
@@ -29,11 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod ring;
 pub mod window;
 
 pub use event::{CellMeta, CellRegistry, EventKind, StreamEvent};
-pub use ring::{spsc, Consumer, Producer};
 pub use window::{
     CellAgg, EngineStats, WindowConfig, WindowEngine, WindowSnapshot, WindowStore, LAT_BUCKETS,
 };

@@ -31,9 +31,10 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Number of power-of-two latency buckets: bucket 0 holds `0`, bucket
-/// `i >= 1` holds `[2^(i-1), 2^i)` microseconds; the last bucket
-/// saturates (≈ 33 s and beyond).
+/// Number of power-of-two latency buckets, bucketed by
+/// [`smm_obs::pow2_bucket`]: bucket 0 holds `0`, bucket `i >= 1` holds
+/// `[2^(i-1), 2^i)` microseconds, and the last bucket takes everything
+/// from 2^24 µs (≈ 16.8 s) up.
 pub const LAT_BUCKETS: usize = 26;
 
 /// Window geometry and lateness tolerance.
@@ -119,14 +120,6 @@ pub struct CellAgg {
     pub lat_buckets: [u32; LAT_BUCKETS],
 }
 
-fn lat_bucket(us: u32) -> usize {
-    if us == 0 {
-        0
-    } else {
-        ((32 - us.leading_zeros()) as usize).min(LAT_BUCKETS - 1)
-    }
-}
-
 impl CellAgg {
     /// Fold one event into the aggregate.
     pub fn observe(&mut self, ev: &StreamEvent) {
@@ -169,7 +162,7 @@ impl CellAgg {
             self.service_sum_us += u64::from(ev.service_us);
             self.service_max_us = self.service_max_us.max(u64::from(ev.service_us));
             self.service_count += 1;
-            self.lat_buckets[lat_bucket(ev.service_us)] += 1;
+            self.lat_buckets[smm_obs::pow2_bucket(u64::from(ev.service_us), LAT_BUCKETS)] += 1;
         }
     }
 
@@ -211,14 +204,8 @@ impl CellAgg {
             return 0;
         }
         let rank = ((q * self.service_count as f64).ceil() as u64).clamp(1, self.service_count);
-        let mut seen = 0u64;
-        for (i, &n) in self.lat_buckets.iter().enumerate() {
-            seen += u64::from(n);
-            if seen >= rank {
-                return if i == 0 { 0 } else { (1u64 << i) - 1 };
-            }
-        }
-        self.service_max_us
+        smm_obs::rank_bucket(self.lat_buckets.iter().map(|&n| u64::from(n)), rank)
+            .map_or(self.service_max_us, |i| smm_obs::pow2_bucket_bound(i) - 1)
     }
 }
 

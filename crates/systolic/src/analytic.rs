@@ -291,7 +291,10 @@ pub fn simulate_network(cfg: &BaselineConfig, net: &Network) -> BaselineReport {
     let layers: Vec<LayerSim> = net
         .layers
         .iter()
-        .map(|l| simulate_layer(cfg, &l.shape))
+        .map(|l| {
+            let _span = smm_obs::span!("baseline.layer", "{}", l.name);
+            simulate_layer(cfg, &l.shape)
+        })
         .collect();
     let total_accesses = layers.iter().map(LayerSim::total_accesses).sum();
     let latency_cycles = layers.iter().map(|l| l.compute_cycles).sum();

@@ -1,8 +1,8 @@
 //! Executable trace-mode schedule.
 //!
 //! Replays the exact residency plan chosen by `analytic::plan_layer`
-//! against element-granular [`smm_trace`] scratchpads, charging every
-//! miss to DRAM counters. This is the cross-validation harness: the
+//! against element-granular [`smm_trace`] scratchpads, summing the DRAM
+//! traffic every miss, stream and store causes. This is the cross-validation harness: the
 //! fold-level formulas in [`analytic`] and the element-by-element replay
 //! here must produce identical traffic, which the tests assert across
 //! layer shapes and buffer sizes.
@@ -11,7 +11,7 @@ use crate::analytic::{self, plan_layer, FilterMode, IfmapMode, LayerSim, LoopOrd
 use crate::buffers::BaselineConfig;
 use crate::compute::compute_cycles;
 use smm_model::LayerShape;
-use smm_trace::{AddressMap, DramCounter, Scratchpad};
+use smm_trace::{AddressMap, Scratchpad};
 
 /// Traffic observed by the trace-mode replay (elements).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,24 +39,32 @@ impl TraceSim {
 /// Fill exactly the input rows the fold's output rows demand, window by
 /// window — with `stride > F_H` the contiguous fold range contains gap
 /// rows no window touches, and the analytical `unique_rows` count is
-/// gap-aware.
+/// gap-aware. Returns the elements fetched.
 fn fill_fold_windows(
     sp: &mut Scratchpad,
     map: &AddressMap,
     shape: &LayerShape,
     c: u64,
     pixels: std::ops::Range<u64>,
-) {
+) -> u64 {
     let ow = shape.output_hw().1 as u64;
     let oy_s = pixels.start / ow;
     let oy_e = (pixels.end - 1) / ow;
+    let mut reads = 0;
     for oy in oy_s..=oy_e {
         let (rs, re) = analytic::input_rows_for(shape, oy, oy);
         if re > rs {
-            sp.fill(map.ifmap_rows(c, rs..re))
+            reads += sp
+                .fill(map.ifmap_rows(c, rs..re))
                 .expect("window must fit per plan");
         }
     }
+    reads
+}
+
+/// Elements in an address range (a streamed operand's DRAM reads).
+fn len(range: std::ops::Range<u64>) -> u64 {
+    range.end - range.start
 }
 
 /// Replay one layer element by element.
@@ -76,18 +84,16 @@ pub fn trace_layer(cfg: &BaselineConfig, shape: &LayerShape) -> TraceSim {
         shape.output_hw().1 as u64,
         shape.out_channels() as u64,
     );
-    let dram_i = DramCounter::new();
-    let dram_f = DramCounter::new();
-    let dram_o = DramCounter::new();
-    let mut sp_i = Scratchpad::new(cfg.ifmap_cap_elems(), dram_i.clone());
-    let mut sp_f = Scratchpad::new(cfg.filter_cap_elems(), dram_f.clone());
+    let (mut ifmap_loads, mut filter_loads, mut ofmap_stores) = (0u64, 0u64, 0u64);
+    let mut sp_i = Scratchpad::new(cfg.ifmap_cap_elems());
+    let mut sp_f = Scratchpad::new(cfg.filter_cap_elems());
 
     match lp.order {
         LoopOrderChoice::DepthwisePerChannel => {
             for c in 0..ci {
                 // One tiny filter per channel; stream it (it is consumed
                 // once per channel pass).
-                sp_f.stream(map.filters(c..c + 1));
+                filter_loads += len(map.filters(c..c + 1));
                 for i in 0..plan.row_folds() {
                     let pixels = plan.row_fold_pixels(i);
                     let n_px = pixels.end - pixels.start;
@@ -97,25 +103,27 @@ pub fn trace_layer(cfg: &BaselineConfig, shape: &LayerShape) -> TraceSim {
                             if rs > 0 {
                                 sp_i.evict(map.ifmap_rows(c, 0..rs));
                             }
-                            fill_fold_windows(&mut sp_i, &map, shape, c, pixels.clone());
+                            ifmap_loads +=
+                                fill_fold_windows(&mut sp_i, &map, shape, c, pixels.clone());
                         }
                         IfmapMode::StreamedWindows => {
                             if re > rs {
-                                sp_i.stream(map.ifmap_rows(c, rs..re));
+                                ifmap_loads += len(map.ifmap_rows(c, rs..re));
                             }
                         }
                         IfmapMode::PerColFold => {
                             unreachable!("depth-wise has a single column fold")
                         }
                     }
-                    dram_o.write(n_px);
+                    ofmap_stores += n_px;
                 }
                 sp_i.evict_all();
             }
         }
         LoopOrderChoice::RowsOuter => {
             if lp.filter_mode == FilterMode::Once {
-                sp_f.fill(map.filters(0..nf))
+                filter_loads += sp_f
+                    .fill(map.filters(0..nf))
                     .expect("filters must fit per plan");
             }
             for i in 0..plan.row_folds() {
@@ -128,11 +136,12 @@ pub fn trace_layer(cfg: &BaselineConfig, shape: &LayerShape) -> TraceSim {
                             if rs > 0 {
                                 sp_i.evict(map.ifmap_rows(c, 0..rs));
                             }
-                            fill_fold_windows(&mut sp_i, &map, shape, c, pixels.clone());
+                            ifmap_loads +=
+                                fill_fold_windows(&mut sp_i, &map, shape, c, pixels.clone());
                         }
                         IfmapMode::StreamedWindows => {
                             if re > rs {
-                                sp_i.stream(map.ifmap_rows(c, rs..re));
+                                ifmap_loads += len(map.ifmap_rows(c, rs..re));
                             }
                         }
                         IfmapMode::PerColFold => unreachable!("not chosen under RowsOuter"),
@@ -141,9 +150,9 @@ pub fn trace_layer(cfg: &BaselineConfig, shape: &LayerShape) -> TraceSim {
                 for j in 0..plan.col_folds() {
                     let fs = plan.col_fold_filters(j);
                     if lp.filter_mode == FilterMode::PerRowFold {
-                        sp_f.stream(map.filters(fs.clone()));
+                        filter_loads += len(map.filters(fs.clone()));
                     }
-                    dram_o.write(n_px * (fs.end - fs.start));
+                    ofmap_stores += n_px * (fs.end - fs.start);
                 }
             }
         }
@@ -151,7 +160,8 @@ pub fn trace_layer(cfg: &BaselineConfig, shape: &LayerShape) -> TraceSim {
             for j in 0..plan.col_folds() {
                 let fs = plan.col_fold_filters(j);
                 if lp.filter_mode == FilterMode::Once {
-                    sp_f.fill(map.filters(fs.clone()))
+                    filter_loads += sp_f
+                        .fill(map.filters(fs.clone()))
                         .expect("filter block must fit per plan");
                 }
                 for i in 0..plan.row_folds() {
@@ -163,26 +173,28 @@ pub fn trace_layer(cfg: &BaselineConfig, shape: &LayerShape) -> TraceSim {
                             // Whole ifmap resident: fill and keep across
                             // column folds.
                             IfmapMode::Once => {
-                                fill_fold_windows(&mut sp_i, &map, shape, c, pixels.clone());
+                                ifmap_loads +=
+                                    fill_fold_windows(&mut sp_i, &map, shape, c, pixels.clone());
                             }
                             // Re-sweep per column fold, sliding within one.
                             IfmapMode::PerColFold => {
                                 if rs > 0 {
                                     sp_i.evict(map.ifmap_rows(c, 0..rs));
                                 }
-                                fill_fold_windows(&mut sp_i, &map, shape, c, pixels.clone());
+                                ifmap_loads +=
+                                    fill_fold_windows(&mut sp_i, &map, shape, c, pixels.clone());
                             }
                             IfmapMode::StreamedWindows => {
                                 if re > rs {
-                                    sp_i.stream(map.ifmap_rows(c, rs..re));
+                                    ifmap_loads += len(map.ifmap_rows(c, rs..re));
                                 }
                             }
                         }
                     }
                     if lp.filter_mode == FilterMode::PerRowFold {
-                        sp_f.stream(map.filters(fs.clone()));
+                        filter_loads += len(map.filters(fs.clone()));
                     }
-                    dram_o.write(n_px * (fs.end - fs.start));
+                    ofmap_stores += n_px * (fs.end - fs.start);
                 }
                 if lp.filter_mode == FilterMode::Once {
                     sp_f.evict(map.filters(fs.clone()));
@@ -195,9 +207,9 @@ pub fn trace_layer(cfg: &BaselineConfig, shape: &LayerShape) -> TraceSim {
     }
 
     TraceSim {
-        ifmap_loads: dram_i.reads(),
-        filter_loads: dram_f.reads(),
-        ofmap_stores: dram_o.writes(),
+        ifmap_loads,
+        filter_loads,
+        ofmap_stores,
         compute_cycles: compute_cycles(&plan),
     }
 }

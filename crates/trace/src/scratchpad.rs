@@ -1,14 +1,15 @@
-use crate::DramCounter;
 use std::fmt;
 use std::ops::Range;
 
 /// A capacity-limited on-chip resident set with explicit fill/evict.
 ///
 /// Scratchpads are software-managed: nothing is ever evicted implicitly.
-/// A schedule `fill`s the element ranges it is about to use (misses are
-/// charged to the shared [`DramCounter`]), `evict`s what it is done with,
-/// and `writeback`s produced data. Exceeding the capacity is a schedule
-/// bug and is reported as an error rather than silently dropping data.
+/// A schedule `fill`s the element ranges it is about to use (`fill`
+/// returns how many it fetched from DRAM), `allocate`s space for data
+/// produced on-chip and `evict`s what it is done with. Traffic that
+/// never becomes resident (streamed operands, write-backs) is the
+/// caller's to count. Exceeding the capacity is a schedule bug and is
+/// reported as an error rather than silently dropping data.
 ///
 /// Residency is tracked in a word-packed bitmap grown on demand: layer
 /// address spaces are dense and bounded, and replays touch millions of
@@ -19,7 +20,6 @@ pub struct Scratchpad {
     capacity: u64,
     resident: u64,
     bits: Vec<u64>,
-    dram: DramCounter,
 }
 
 /// Error returned when a fill would overflow the scratchpad.
@@ -42,13 +42,12 @@ impl fmt::Display for CapacityExceeded {
 impl std::error::Error for CapacityExceeded {}
 
 impl Scratchpad {
-    /// A scratchpad of `capacity` elements charging misses to `dram`.
-    pub fn new(capacity: u64, dram: DramCounter) -> Self {
+    /// An empty scratchpad of `capacity` elements.
+    pub fn new(capacity: u64) -> Self {
         Scratchpad {
             capacity,
             resident: 0,
             bits: Vec::new(),
-            dram,
         }
     }
 
@@ -125,10 +124,11 @@ impl Scratchpad {
         !range.is_empty() && self.missing(&range) == 0
     }
 
-    /// Bring a range on-chip. Addresses already resident are free; the
-    /// rest are charged as DRAM reads. Fails (with no side effects) if
-    /// the post-fill footprint would exceed the capacity.
-    pub fn fill(&mut self, range: Range<u64>) -> Result<(), CapacityExceeded> {
+    /// Bring a range on-chip and return how many elements had to be
+    /// read from DRAM: addresses already resident are free. Fails (with
+    /// no side effects) if the post-fill footprint would exceed the
+    /// capacity.
+    pub fn fill(&mut self, range: Range<u64>) -> Result<u64, CapacityExceeded> {
         let missing = self.missing(&range);
         let requested = self.resident + missing;
         if requested > self.capacity {
@@ -137,9 +137,8 @@ impl Scratchpad {
                 requested,
             });
         }
-        self.dram.read(missing);
         self.resident += self.set_range(&range, true);
-        Ok(())
+        Ok(missing)
     }
 
     /// Allocate a range for data produced on-chip (no DRAM read). Fails
@@ -167,20 +166,6 @@ impl Scratchpad {
         self.bits.fill(0);
         self.resident = 0;
     }
-
-    /// Write a produced range off-chip (charged as DRAM writes) and
-    /// evict it.
-    pub fn writeback(&mut self, range: Range<u64>) {
-        self.dram.write(range.end.saturating_sub(range.start));
-        self.evict(range);
-    }
-
-    /// Stream a range through the scratchpad without leaving it resident:
-    /// every element is charged as a DRAM read. Used when a working set
-    /// exceeds the capacity and must be consumed on the fly.
-    pub fn stream(&mut self, range: Range<u64>) {
-        self.dram.read(range.end.saturating_sub(range.start));
-    }
 }
 
 #[cfg(test)]
@@ -191,72 +176,52 @@ mod tests {
 
     #[test]
     fn fill_charges_only_misses() {
-        let dram = DramCounter::new();
-        let mut sp = Scratchpad::new(100, dram.clone());
-        sp.fill(0..50).unwrap();
-        assert_eq!(dram.reads(), 50);
+        let mut sp = Scratchpad::new(100);
+        assert_eq!(sp.fill(0..50), Ok(50));
         // Overlapping refill: only the 10 new elements are fetched.
-        sp.fill(40..60).unwrap();
-        assert_eq!(dram.reads(), 60);
+        assert_eq!(sp.fill(40..60), Ok(10));
         assert_eq!(sp.resident_count(), 60);
     }
 
     #[test]
     fn overflow_is_an_error_with_no_side_effects() {
-        let dram = DramCounter::new();
-        let mut sp = Scratchpad::new(10, dram.clone());
+        let mut sp = Scratchpad::new(10);
         sp.fill(0..10).unwrap();
         let err = sp.fill(10..11).unwrap_err();
         assert_eq!(err.capacity, 10);
         assert_eq!(err.requested, 11);
-        assert_eq!(dram.reads(), 10, "failed fill must not count traffic");
         assert_eq!(sp.resident_count(), 10);
+        assert_eq!(sp.fill(0..10), Ok(0), "failed fill left nothing behind");
     }
 
     #[test]
     fn evict_frees_space() {
-        let dram = DramCounter::new();
-        let mut sp = Scratchpad::new(10, dram.clone());
+        let mut sp = Scratchpad::new(10);
         sp.fill(0..10).unwrap();
         sp.evict(0..5);
-        sp.fill(20..25).unwrap();
+        assert_eq!(sp.fill(20..25), Ok(5));
         assert_eq!(sp.resident_count(), 10);
-        assert_eq!(dram.reads(), 15);
     }
 
     #[test]
     fn refetch_after_evict_is_charged_again() {
-        let dram = DramCounter::new();
-        let mut sp = Scratchpad::new(10, dram.clone());
+        let mut sp = Scratchpad::new(10);
         sp.fill(0..10).unwrap();
         sp.evict_all();
-        sp.fill(0..10).unwrap();
-        assert_eq!(dram.reads(), 20);
+        assert_eq!(sp.fill(0..10), Ok(10));
     }
 
     #[test]
     fn allocate_does_not_touch_dram() {
-        let dram = DramCounter::new();
-        let mut sp = Scratchpad::new(10, dram.clone());
+        let mut sp = Scratchpad::new(10);
         sp.allocate(0..8).unwrap();
-        assert_eq!(dram.total(), 0);
         assert_eq!(sp.resident_count(), 8);
-    }
-
-    #[test]
-    fn writeback_counts_writes_and_evicts() {
-        let dram = DramCounter::new();
-        let mut sp = Scratchpad::new(10, dram.clone());
-        sp.allocate(0..8).unwrap();
-        sp.writeback(0..8);
-        assert_eq!(dram.writes(), 8);
-        assert_eq!(sp.resident_count(), 0);
+        assert_eq!(sp.fill(0..8), Ok(0), "allocated data needs no fetch");
     }
 
     #[test]
     fn contains_checks_whole_range() {
-        let dram = DramCounter::new();
-        let mut sp = Scratchpad::new(10, dram);
+        let mut sp = Scratchpad::new(10);
         sp.fill(2..6).unwrap();
         assert!(sp.contains(3..5));
         assert!(!sp.contains(5..7));
@@ -265,35 +230,33 @@ mod tests {
     #[test]
     fn word_boundary_ranges() {
         // Ranges crossing 64-bit word boundaries must count exactly.
-        let dram = DramCounter::new();
-        let mut sp = Scratchpad::new(1000, dram.clone());
-        sp.fill(60..70).unwrap();
+        let mut sp = Scratchpad::new(1000);
+        assert_eq!(sp.fill(60..70), Ok(10));
         assert_eq!(sp.resident_count(), 10);
-        sp.fill(126..130).unwrap();
+        assert_eq!(sp.fill(126..130), Ok(4));
         assert_eq!(sp.resident_count(), 14);
         sp.evict(63..128);
         assert_eq!(sp.resident_count(), 10 - 7 + 4 - 2);
-        assert_eq!(dram.reads(), 14);
+        assert_eq!(sp.fill(60..130), Ok(65));
     }
 
     proptest! {
         /// The bitmap behaves exactly like a reference hash-set model
-        /// under arbitrary fill/evict/allocate sequences.
+        /// under arbitrary fill/evict/allocate sequences, and each fill
+        /// reports exactly the addresses the model did not hold.
         #[test]
         fn matches_reference_model(ops in prop::collection::vec(
             (0u8..3, 0u64..300, 1u64..40), 1..40)
         ) {
-            let dram = DramCounter::new();
-            let mut sp = Scratchpad::new(10_000, dram.clone());
+            let mut sp = Scratchpad::new(10_000);
             let mut model: HashSet<u64> = HashSet::new();
-            let mut reads = 0u64;
             for (op, start, len) in ops {
                 let range = start..start + len;
                 match op {
                     0 => {
-                        reads += range.clone().filter(|a| !model.contains(a)).count() as u64;
+                        let misses = range.clone().filter(|a| !model.contains(a)).count() as u64;
                         model.extend(range.clone());
-                        sp.fill(range).unwrap();
+                        prop_assert_eq!(sp.fill(range), Ok(misses));
                     }
                     1 => {
                         for a in range.clone() { model.remove(&a); }
@@ -305,7 +268,6 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(sp.resident_count(), model.len() as u64);
-                prop_assert_eq!(dram.reads(), reads);
             }
         }
     }

@@ -27,8 +27,8 @@
 //! - [`fleet`] — sharded multi-node planning: a consistent-hash router
 //!   over serve nodes with backend health tracking and warm-cache
 //!   handoff on membership changes.
-//! - [`stream`] — windowed traffic analytics: lock-free SPSC event
-//!   lanes, watermark-driven tumbling/sliding window aggregation, and
+//! - [`stream`] — windowed traffic analytics: compact request events,
+//!   watermark-driven tumbling/sliding window aggregation, and
 //!   the per-cell statistics behind the serve stack's pre-warm and
 //!   predictive-shed controllers.
 //!

@@ -7,6 +7,7 @@ use scratchpad_mm::arch::{AcceleratorConfig, ByteSize};
 use scratchpad_mm::core::{Manager, ManagerConfig, Objective};
 use scratchpad_mm::model::zoo;
 use scratchpad_mm::obs::{self, json};
+use scratchpad_mm::systolic::{simulate_network, BaselineConfig, BufferSplit};
 
 /// The whole file shares one process-global collector, so the scenarios
 /// run under a single test, in sequence.
@@ -76,5 +77,32 @@ fn profile_and_chrome_trace_cover_a_planned_network() {
     let on_disk = std::fs::read_to_string(&path).unwrap();
     json::parse(&on_disk).expect("trace file must be valid JSON");
     let _ = std::fs::remove_file(&path);
+
+    // -- the analytic baseline opens one baseline.layer span per layer,
+    //    named after the layer --
+    obs::reset();
+    obs::set_enabled(true);
+    obs::set_trace_events(true);
+    simulate_network(&BaselineConfig::paper(acc, BufferSplit::SA_50_50), &net);
+    obs::set_enabled(false);
+    obs::set_trace_events(false);
+    let report = obs::report();
+    let row = report
+        .spans
+        .iter()
+        .find(|r| r.name == "baseline.layer")
+        .expect("baseline.layer span row");
+    assert_eq!(row.stats.count, net.layers.len() as u64);
+    let value = json::parse(&obs::chrome_trace_json()).expect("valid trace JSON");
+    let Some(json::Value::Array(events)) = value.get("traceEvents") else {
+        panic!("traceEvents array missing");
+    };
+    let details: Vec<&str> = events
+        .iter()
+        .filter(|e| matches!(e.get("name"), Some(json::Value::String(n)) if n == "baseline.layer"))
+        .filter_map(|e| e.get("args")?.get("detail")?.as_str())
+        .collect();
+    let names: Vec<&str> = net.layers.iter().map(|l| l.name.as_str()).collect();
+    assert_eq!(details, names);
     obs::reset();
 }
