@@ -2,11 +2,12 @@
 //! interval sets, plus a reverse pre-pass for final-store detection.
 //!
 //! See `docs/LINTING.md` for the full design; in short, the analyzer
-//! mirrors the replay scratchpad's residency semantics with an
-//! [`IntervalSet`] (fill/alloc insert, evict/store remove, stream
-//! leaves residency untouched) and tracks three more sets — delivered
-//! ifmap bytes, delivered filter bytes, stored ofmap bytes — from which
-//! every hazard proof and the traffic/occupancy re-derivations follow.
+//! mirrors the replay scratchpad's residency semantics with one
+//! [`IntervalSet`] per operand region (fill/alloc insert, evict/store
+//! remove, stream leaves residency untouched) and tracks three more
+//! sets — delivered ifmap bytes, delivered filter bytes, stored ofmap
+//! bytes — from which every hazard proof and the traffic/occupancy
+//! re-derivations follow.
 
 use crate::interval::IntervalSet;
 use crate::report::{LayerLint, LintReport};
@@ -181,6 +182,15 @@ fn required_input_rows(shape: &LayerShape, out_rows: &Range<u64>) -> Range<u64> 
     lo..hi.max(lo)
 }
 
+/// Index of an operand's residency set in [`analyze`].
+fn region_slot(operand: Operand) -> usize {
+    match operand {
+        Operand::Ifmap => 0,
+        Operand::Filter => 1,
+        Operand::Ofmap => 2,
+    }
+}
+
 /// Statically analyze one lowered program against its layer shape and
 /// the policy estimate it was lowered from. Never fails: unresolvable
 /// commands and malformed metadata surface as SMM014 diagnostics.
@@ -251,10 +261,17 @@ fn analyze(
         is_write: false,
         resident_after: 0,
     };
-    let mut res = IntervalSet::new();
+    // GLB residency, one set per operand region. Every command touches
+    // one region, so its update splices only that region's runs: ifmap
+    // row traffic does not shift a resident filter block's runs.
+    let mut res: [IntervalSet; 3] = Default::default();
     let mut delivered_ifmap = IntervalSet::new();
     let mut delivered_filter = IntervalSet::new();
     let mut stored_ofmap = IntervalSet::new();
+    // Padded-ifmap rows proven delivered in every input channel. The
+    // delivered sets only grow, so a proven window stays proven and a
+    // final store inside one needs no channel scan (docs/LINTING.md).
+    let mut proven_rows = IntervalSet::new();
     let mut derived_peak = 0u64;
     let mut ifmap_loads = 0u64;
     let mut filter_loads = 0u64;
@@ -272,11 +289,12 @@ fn analyze(
             }
         };
         let claimed = meta.dram_elems;
+        let region = &mut res[region_slot(rc.operand)];
         let mut derived_dram = 0u64;
         let mut redundant = 0u64;
         match rc.action {
             Action::Fill | Action::Reload => {
-                derived_dram = rc.runs().map(|r| res.missing(&r)).sum();
+                derived_dram = region.missing_block(&rc.range, rc.stride, rc.count);
                 if claimed > derived_dram {
                     // The stream claims to move bytes that are provably
                     // already resident: a refetch, reclaimable traffic.
@@ -311,20 +329,16 @@ fn analyze(
                     }
                     Operand::Filter => {
                         filter_loads += derived_dram;
-                        for run in rc.runs() {
-                            delivered_filter.insert(&run);
-                        }
+                        delivered_filter.insert_block(&rc.range, rc.stride, rc.count);
                     }
                     Operand::Ofmap => ofmap_reads += derived_dram,
                 }
-                for run in rc.runs() {
-                    res.insert(&run);
-                }
+                region.insert_block(&rc.range, rc.stride, rc.count);
             }
             Action::Stream => {
                 // Streams are row and whole-filter commands: one run.
                 derived_dram = rc.elems();
-                let resident_overlap = res.intersect_len(&rc.range);
+                let resident_overlap = region.intersect_len(&rc.range);
                 if resident_overlap > 0 {
                     // Streaming re-moves bytes that are sitting in the
                     // GLB — the transfer is entirely avoidable.
@@ -366,18 +380,14 @@ fn analyze(
                     });
                 }
                 if rc.action == Action::Evict {
-                    // Back to front: each removal then shifts only the
-                    // runs above the block, not the block's own runs.
-                    for run in rc.runs().rev() {
-                        res.remove(&run);
-                    }
+                    region.remove_block(&rc.range, rc.stride, rc.count);
                 } else {
-                    res.insert(&rc.range);
+                    region.insert(&rc.range);
                 }
             }
             Action::Store => {
                 derived_dram = rc.elems();
-                let missing = res.missing(&rc.range);
+                let missing = region.missing(&rc.range);
                 if missing > 0 {
                     findings.hit(Code::StoreBeforeAlloc, || {
                         format!(
@@ -401,16 +411,22 @@ fn analyze(
                 if is_final_store[i] {
                     if let Command::StoreOfmapRows { channel, rows } = cmd {
                         let in_rows = required_input_rows(shape, rows);
-                        let in_channels: Vec<u64> = if shape.depthwise {
-                            vec![*channel]
+                        let missing_in = if shape.depthwise {
+                            delivered_ifmap.missing(&resolver.ifmap_rows(*channel, in_rows))
+                        } else if proven_rows.covers(&in_rows) {
+                            0
                         } else {
-                            (0..u64::from(shape.in_channels)).collect()
+                            let missing: u64 = (0..u64::from(shape.in_channels))
+                                .map(|c| {
+                                    delivered_ifmap
+                                        .missing(&resolver.ifmap_rows(c, in_rows.clone()))
+                                })
+                                .sum();
+                            if missing == 0 {
+                                proven_rows.insert(&in_rows);
+                            }
+                            missing
                         };
-                        let mut missing_in = 0u64;
-                        for c in &in_channels {
-                            missing_in +=
-                                delivered_ifmap.missing(&resolver.ifmap_rows(*c, in_rows.clone()));
-                        }
                         let missing_f =
                             delivered_filter.missing(&resolver.filters(*channel..channel + 1));
                         if missing_in > 0 || missing_f > 0 {
@@ -425,11 +441,11 @@ fn analyze(
                     }
                 }
                 ofmap_writes += derived_dram;
-                res.remove(&rc.range);
+                region.remove(&rc.range);
                 stored_ofmap.insert(&rc.range);
             }
         }
-        let derived_resident_after = res.len();
+        let derived_resident_after: u64 = res.iter().map(IntervalSet::len).sum();
         derived_peak = derived_peak.max(derived_resident_after);
         redundant_total += redundant;
         if program.meta.len() == program.commands.len()
@@ -462,7 +478,7 @@ fn analyze(
     }
 
     // End-of-stream proofs.
-    let leaked = res.intersect_len(&resolver.ofmap_region());
+    let leaked = res[region_slot(Operand::Ofmap)].len();
     if leaked > 0 {
         findings.hit(Code::ResidencyLeak, || {
             format!(

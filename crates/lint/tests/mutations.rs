@@ -15,6 +15,8 @@ use smm_exec::{Command, Program};
 use smm_lint::lint_program;
 use smm_model::LayerShape;
 use smm_policy::{estimate, PolicyEstimate, PolicyKind};
+use std::collections::HashSet;
+use std::ops::Range;
 
 fn small_layer() -> LayerShape {
     LayerShape {
@@ -72,6 +74,74 @@ fn smm012_dropping_a_fill_breaks_the_raw_proof() {
             .any(|d| d.code == Code::UseBeforeFill),
         "dropped fill must break the use-before-fill proof: {:?}",
         lint.diagnostics
+    );
+}
+
+#[test]
+fn smm012_counts_every_final_store_the_dropped_rows_feed() {
+    // The RAW proof remembers input-row windows already proven in every
+    // channel. A window missing rows is never remembered, so each final
+    // store that reads the dropped rows must still be counted.
+    let (mut p, shape, est) = lowered(PolicyKind::P1IfmapReuse);
+    assert_clean(&p, &shape, &est);
+    let (s, fh) = (u64::from(shape.stride), u64::from(shape.filter_h));
+    let pad_h = u64::from(shape.padded_h());
+    let window =
+        |rows: &Range<u64>| (rows.start * s).min(pad_h)..((rows.end - 1) * s + fh).min(pad_h);
+    let overlap = |a: &Range<u64>, b: &Range<u64>| a.start < b.end && b.start < a.end;
+    // A store is final when some row of it is not stored again later.
+    let mut later = HashSet::new();
+    let mut final_windows = Vec::new();
+    for cmd in p.commands.iter().rev() {
+        if let Command::StoreOfmapRows { channel, rows } = cmd {
+            if rows.clone().any(|r| !later.contains(&(*channel, r))) {
+                final_windows.push(window(rows));
+            }
+            later.extend(rows.clone().map(|r| (*channel, r)));
+        }
+    }
+    let feeds = |rows: &Range<u64>| final_windows.iter().filter(|w| overlap(w, rows)).count();
+    let fill_rows = |cmd: &Command| match cmd {
+        Command::FillIfmapRows { channel, rows } => Some((*channel, rows.clone())),
+        _ => None,
+    };
+    let (i, (channel, rows)) = p
+        .commands
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| fill_rows(c).map(|f| (i, f)))
+        .max_by_key(|(_, (_, rows))| feeds(rows))
+        .expect("P1 fills ifmap rows");
+    let expected = feeds(&rows);
+    assert!(
+        expected >= 2,
+        "the dropped fill feeds {expected} final stores"
+    );
+    // Nothing else delivers those rows, so they stay missing to the end.
+    let delivers = |c: &Command| match c {
+        Command::FillIfmapRows {
+            channel: ch,
+            rows: r,
+        }
+        | Command::StreamIfmapRows {
+            channel: ch,
+            rows: r,
+        } => *ch == channel && overlap(r, &rows),
+        _ => false,
+    };
+    assert_eq!(p.commands.iter().filter(|c| delivers(c)).count(), 1);
+    p.commands.remove(i);
+    p.meta.remove(i);
+    let lint = lint_program(&p, &shape, &est);
+    let raw = lint
+        .diagnostics
+        .iter()
+        .find(|d| d.code == Code::UseBeforeFill)
+        .expect("dropped rows break the RAW proof");
+    assert!(
+        raw.message.ends_with(&format!("(+{} more)", expected - 1)),
+        "want {expected} final stores flagged: {}",
+        raw.message
     );
 }
 

@@ -148,9 +148,11 @@ impl fmt::Display for ProfileReport {
                 fmt_ns(s.max_ns)
             )?;
         }
-        writeln!(f, "\n== profile: counters ==")?;
-        for row in &self.counters {
-            writeln!(f, "{:<32} {:>12}", row.counter.name(), row.value)?;
+        if !self.counters.is_empty() {
+            writeln!(f, "\n== profile: counters ==")?;
+            for row in &self.counters {
+                writeln!(f, "{:<32} {:>12}", row.counter.name(), row.value)?;
+            }
         }
         if !self.histograms.is_empty() {
             writeln!(f, "\n== profile: histograms (log2 buckets) ==")?;
@@ -220,6 +222,27 @@ mod tests {
         assert!(text.contains("plan.layer"));
         assert!(text.contains("planner.candidates"));
         assert!(text.contains("42"));
+    }
+
+    #[test]
+    fn spans_without_counters_render_no_counters_header() {
+        let rep = ProfileReport {
+            counters: vec![],
+            histograms: vec![],
+            spans: vec![SpanRow {
+                name: "baseline.layer",
+                stats: SpanStats {
+                    count: 1,
+                    total_ns: 1_000,
+                    min_ns: 1_000,
+                    max_ns: 1_000,
+                },
+            }],
+            dropped_events: 0,
+        };
+        let text = format!("{rep}");
+        assert!(text.contains("baseline.layer"));
+        assert!(!text.contains("counters"), "{text}");
     }
 
     #[test]
